@@ -1,7 +1,9 @@
 package forest
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/balance"
@@ -217,12 +219,17 @@ func precludedLevel(lv int8, r octant.Octant) bool {
 	return int(lv) < int(r.Level)+2+PreclusionFaultLevels
 }
 
-// query identifies one balance query: a leaf octant r expressed in the
-// responder tree's coordinate frame (r may lie outside that tree's root
-// cube when the interaction crosses a tree boundary).
-type query struct {
-	Tree int32
-	R    octant.Octant
+// queryRec is one balance query: the leaf r of a local chunk, expressed
+// in the frame of responder tree tree (r may lie outside that tree's root
+// cube when the interaction crosses a tree boundary), addressed to rank
+// peer.  On the issuing rank chunk and leaf record the provenance — r is
+// f.Local[chunk].Leaves[leaf] shifted into tree's frame — so a response
+// finds its local leaf by index.  Queries received from another rank carry
+// only tree and r.
+type queryRec struct {
+	peer, tree  int32
+	r           octant.Octant
+	chunk, leaf int32
 }
 
 // Balance enforces the k-balance condition across the entire forest using
@@ -276,66 +283,28 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// Phase 2: Query construction.  A recursive traversal per tree chunk
 	// (internal/traverse) first narrows the curve down to the leaves whose
 	// insulation layer can leave the local partition or cross a tree
-	// boundary — subtrees with an entirely same-tree, rank-local insulation
-	// neighborhood are pruned without touching their leaves.  Only the
-	// surviving boundary leaves then run the classical per-leaf region
-	// enumeration, which builds the identical query sets.
+	// boundary; the surviving boundary leaves then emit their query
+	// records in parallel, and one sort orders them by receiver and wire
+	// position.  Receiver lists, self queries and provenance are runs and
+	// indices of that one slice.
 	ps = beginPhase(c, "query")
-	peers := make(map[int]map[query]struct{}) // peer rank -> query set
-	selfQueries := make(map[query]struct{})
-	type origin struct {
-		shift Shift
-		tree  int32 // local tree the query octant is a leaf of
-	}
-	origins := make(map[query]origin) // every issued query -> provenance
-	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
-	boundary, queryStats := f.queryBoundaryLeaves(c.Rank(), workers, runParallel)
-	for ci := range f.Local {
-		tc := &f.Local[ci]
-		for _, li := range boundary[ci] {
-			r := tc.Leaves[li].Octant()
-			for _, d := range dirs {
-				ins := r.Neighbor(d)
-				ti, ins2, shift, ok := f.Conn.Canonicalize(tc.Tree, ins)
-				if !ok {
-					continue // domain boundary
-				}
-				first, last := f.OwnersOfRegion(ti, ins2)
-				for rank := first; rank <= last; rank++ {
-					q := query{Tree: ti, R: shift.Apply(r)}
-					if rank == c.Rank() {
-						if ti != tc.Tree {
-							selfQueries[q] = struct{}{}
-							origins[q] = origin{shift: shift, tree: tc.Tree}
-						}
-						// Same-tree self interactions were handled
-						// by the local balance phase.
-						continue
-					}
-					set := peers[rank]
-					if set == nil {
-						set = make(map[query]struct{})
-						peers[rank] = set
-					}
-					set[q] = struct{}{}
-					origins[q] = origin{shift: shift, tree: tc.Tree}
-				}
-			}
-		}
-	}
+	recs, queryStats := f.buildQueries(c.Rank(), workers, runParallel)
 	tr := c.Tracer()
 	tr.Add(c.Rank(), "balance/query-nodes", int64(queryStats.Nodes))
 	tr.Add(c.Rank(), "balance/query-leaves", int64(queryStats.Leaves))
 	tr.Add(c.Rank(), "balance/query-pruned", int64(queryStats.Pruned))
+	tr.Add(c.Rank(), "balance/query-records", int64(len(recs)))
 	queryBuildTime := ps.end()
 
 	// Phase 3: Notify — reverse the asymmetric pattern.
 	ps = beginPhase(c, "notify")
-	receivers := make([]int, 0, len(peers))
-	for rank := range peers {
-		receivers = append(receivers, rank)
+	me := int32(c.Rank())
+	var receivers []int
+	for i, q := range recs {
+		if q.peer != me && (i == 0 || q.peer != recs[i-1].peer) {
+			receivers = append(receivers, int(q.peer))
+		}
 	}
-	slices.Sort(receivers)
 	var senders []int
 	sendTo := receivers
 	switch opt.Notify {
@@ -359,12 +328,12 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	ps = beginPhase(c, "query-response")
 	dim := int8(f.Conn.dim)
 	for _, rank := range sendTo {
-		qs := sortedQueries(peers[rank])
+		qs := peerRun(recs, int32(rank))
 		enc := wireEnc{b: comm.GetBuf(), codec: opt.Codec, dim: dim}
 		enc.count(len(qs))
-		for _, q := range qs {
-			enc.tree(q.Tree)
-			enc.oct(q.R)
+		for i := range qs {
+			enc.tree(qs[i].tree)
+			enc.oct(qs[i].r)
 		}
 		c.AddRawBytes(enc.raw)
 		c.Send(rank, tagQuery, enc.b)
@@ -380,15 +349,18 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	}
 	// Handle self queries (inter-tree interactions within this rank)
 	// through the same response path, without messages.
-	selfResponses := f.respondQueries(sortedQueries(selfQueries), k, remoteAlgo, workers, runParallel, &respondStats)
-	// Collect responses.
-	type response struct {
-		q    query
-		octs []octant.Octant
+	selfQs := peerRun(recs, me)
+	selfResponses := f.respondQueries(selfQs, k, remoteAlgo, workers, runParallel, &respondStats)
+	// Collect responses as influences on the issuing local leaves.
+	var infl []influence
+	for i, octs := range selfResponses {
+		if len(octs) > 0 {
+			infl = append(infl, f.influenceOf(selfQs[i], octs))
+		}
 	}
-	var responses []response
 	for _, rank := range sendTo {
 		data := c.Recv(rank, tagResponse)
+		qs := peerRun(recs, int32(rank))
 		d := wireDec{b: data, codec: opt.Codec, dim: dim}
 		for d.more() {
 			t := d.tree()
@@ -397,45 +369,34 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 			if d.err != nil {
 				break
 			}
-			responses = append(responses, response{q: query{Tree: t, R: r}, octs: octs})
+			i, found := slices.BinarySearchFunc(qs, queryRec{peer: int32(rank), tree: t, r: r}, compareQueryRecs)
+			if !found {
+				panic("forest: response for unknown query")
+			}
+			if len(octs) > 0 {
+				infl = append(infl, f.influenceOf(qs[i], octs))
+			}
 		}
 		if d.err != nil {
 			panic("forest: corrupt response payload: " + d.err.Error())
 		}
 		comm.PutBuf(data) // octs decoded into fresh slices above
 	}
-	for q, octs := range selfResponses {
-		responses = append(responses, response{q: q, octs: octs})
-	}
 	tr.Add(c.Rank(), "balance/respond-nodes", int64(respondStats.Nodes))
 	tr.Add(c.Rank(), "balance/respond-leaves", int64(respondStats.Leaves))
 	tr.Add(c.Rank(), "balance/respond-pruned", int64(respondStats.Pruned))
 	times.QueryResponse = ps.end() + queryBuildTime
 
-	// Phase 5: Local rebalance.  Transform the response octants back into
-	// the local frames and merge their influence into the partition.
+	// Phase 5: Local rebalance.  Merge the influences, already in the
+	// local frames, into the partition: grouped by issuing leaf, which in
+	// leaf-index order is the curve order of the leaves.
 	ps = beginPhase(c, "rebalance")
-	// Group response octants by local tree after inverse transformation.
-	perTree := make(map[int32]map[octant.Octant][]octant.Octant) // tree -> local leaf r -> octants
-	for _, resp := range responses {
-		if len(resp.octs) == 0 {
-			continue
+	slices.SortFunc(infl, func(a, b influence) int {
+		if a.chunk != b.chunk {
+			return int(a.chunk) - int(b.chunk)
 		}
-		org, ok := origins[resp.q]
-		if !ok {
-			panic("forest: response for unknown query")
-		}
-		inv := org.shift.Inverse()
-		localR := inv.Apply(resp.q.R)
-		m := perTree[org.tree]
-		if m == nil {
-			m = make(map[octant.Octant][]octant.Octant)
-			perTree[org.tree] = m
-		}
-		for _, o := range resp.octs {
-			m[localR] = append(m[localR], inv.Apply(o))
-		}
-	}
+		return int(a.leaf) - int(b.leaf)
+	})
 	if remoteAlgo == AlgoNew {
 		// Flatten the per-query-octant reconstructions across all local
 		// trees into one job list so the pool stays busy even when the
@@ -444,16 +405,25 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		// over contiguous leaf segments, itself parallel across trees).
 		var jobs []rebalanceJob
 		jobRange := make([][2]int, len(f.Local))
-		for i := range f.Local {
-			start := len(jobs)
-			jobs = appendRebalanceJobs(jobs, perTree[f.Local[i].Tree])
-			jobRange[i] = [2]int{start, len(jobs)}
+		for i := 0; i < len(infl); {
+			ci, li := infl[i].chunk, infl[i].leaf
+			// Every octs slice is freshly decoded or computed, so the
+			// first one can absorb the others.
+			seeds := infl[i].octs
+			for i++; i < len(infl) && infl[i].chunk == ci && infl[i].leaf == li; i++ {
+				seeds = append(seeds, infl[i].octs...)
+			}
+			if jobRange[ci][1] == 0 {
+				jobRange[ci][0] = len(jobs)
+			}
+			jobs = append(jobs, rebalanceJob{rk: f.Local[ci].Leaves[li], seeds: seeds})
+			jobRange[ci][1] = len(jobs)
 		}
 		runParallel(len(jobs), func(i int) {
 			j := &jobs[i]
 			seeds := octant.AppendKeys(make([]octant.Key, 0, len(j.seeds)), j.seeds)
 			linear.SortKeys(seeds)
-			seeds = dedupKeys(seeds)
+			seeds = slices.Compact(seeds)
 			sub := balance.SubtreeNewKeys(j.rk, seeds, k)
 			if len(sub) == 1 && sub[0] == j.rk {
 				return // no split forced; keep the leaf
@@ -469,13 +439,21 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 			tc.Leaves = spliceReplaceKeys(tc.Leaves, jobs[lo:hi])
 		})
 	} else {
+		chunkRange := make([][2]int, len(f.Local))
+		for i := range infl {
+			ci := infl[i].chunk
+			if chunkRange[ci][1] == 0 {
+				chunkRange[ci][0] = i
+			}
+			chunkRange[ci][1] = i + 1
+		}
 		runParallel(len(f.Local), func(i int) {
-			tc := &f.Local[i]
-			groups := perTree[tc.Tree]
-			if len(groups) == 0 {
+			lo, hi := chunkRange[i][0], chunkRange[i][1]
+			if lo == hi {
 				return
 			}
-			octs := rebalanceOld(root, tc.Octants(), groups, k)
+			tc := &f.Local[i]
+			octs := rebalanceOld(root, tc.Octants(), infl[lo:hi], k)
 			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
 		})
 	}
@@ -486,32 +464,58 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	return times
 }
 
-// sortedQueries returns the query set in a deterministic order.  The key is
-// the coordinate tuple, not the Morton index: query octants can lie outside
-// the responder tree's root cube, where the Morton comparison is not a
-// usable order (negative coordinates flip its bit interleaving).
-func sortedQueries(set map[query]struct{}) []query {
-	qs := make([]query, 0, len(set))
-	for q := range set {
-		qs = append(qs, q)
+// compareQueryRecs is the order of the query records: by receiver, then
+// by responder tree and the query octant's coordinate tuple (x, y, z,
+// level).  The tuple order, rather than the Morton order the keys would
+// give for free, is the order the query payloads have always been sent
+// in: keeping it keeps the payload bytes — the WireV1 coordinate deltas
+// and with them the metered comm bytes — identical.
+func compareQueryRecs(a, b queryRec) int {
+	switch {
+	case a.peer != b.peer:
+		return int(a.peer) - int(b.peer)
+	case a.tree != b.tree:
+		return int(a.tree) - int(b.tree)
+	case a.r.X != b.r.X:
+		return cmp.Compare(a.r.X, b.r.X)
+	case a.r.Y != b.r.Y:
+		return cmp.Compare(a.r.Y, b.r.Y)
+	case a.r.Z != b.r.Z:
+		return cmp.Compare(a.r.Z, b.r.Z)
+	default:
+		return int(a.r.Level) - int(b.r.Level)
 	}
-	slices.SortFunc(qs, compareQueries)
-	return qs
 }
 
-func compareQueries(a, b query) int {
-	switch {
-	case a.Tree != b.Tree:
-		return int(a.Tree) - int(b.Tree)
-	case a.R.X != b.R.X:
-		return int(a.R.X) - int(b.R.X)
-	case a.R.Y != b.R.Y:
-		return int(a.R.Y) - int(b.R.Y)
-	case a.R.Z != b.R.Z:
-		return int(a.R.Z) - int(b.R.Z)
-	default:
-		return int(a.R.Level) - int(b.R.Level)
+// peerRun returns the records addressed to rank, a run of the sorted
+// record slice (empty if there is none).
+func peerRun(recs []queryRec, rank int32) []queryRec {
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].peer >= rank })
+	hi := lo
+	for hi < len(recs) && recs[hi].peer == rank {
+		hi++
 	}
+	return recs[lo:hi]
+}
+
+// influence is one non-empty response, in the frame of the local leaf
+// f.Local[chunk].Leaves[leaf] whose query it answers: the seed octants
+// (new algorithm) or raw octants (old algorithm) that leaf must be
+// balanced against.
+type influence struct {
+	chunk, leaf int32
+	octs        []octant.Octant
+}
+
+// influenceOf translates the response octs of query q from the responder's
+// frame back into the frame of q's issuing leaf, in place.
+func (f *Forest) influenceOf(q queryRec, octs []octant.Octant) influence {
+	local := f.Local[q.chunk].Leaves[q.leaf].Octant()
+	inv := Shift{local.X - q.r.X, local.Y - q.r.Y, local.Z - q.r.Z}
+	for i := range octs {
+		octs[i] = inv.Apply(octs[i])
+	}
+	return influence{chunk: q.chunk, leaf: q.leaf, octs: octs}
 }
 
 // localBalanceChunk balances one rank's contiguous leaf range of a tree:
@@ -558,11 +562,11 @@ func (f *Forest) respond(data []byte, k int, algo Algo, codec WireCodec, workers
 		minQuery = d.minOct() + 4
 	}
 	n := d.count(minQuery)
-	qs := make([]query, 0, n)
+	qs := make([]queryRec, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		t := d.tree()
 		r := d.oct()
-		qs = append(qs, query{Tree: t, R: r})
+		qs = append(qs, queryRec{tree: t, r: r})
 	}
 	if d.err != nil {
 		panic("forest: corrupt query payload: " + d.err.Error())
@@ -570,13 +574,12 @@ func (f *Forest) respond(data []byte, k int, algo Algo, codec WireCodec, workers
 	comm.PutBuf(data) // queries decoded into fresh memory above
 	resp := f.respondQueries(qs, k, algo, workers, par, st)
 	enc := wireEnc{b: comm.GetBuf(), codec: codec, dim: dim}
-	for _, q := range qs {
-		octs := resp[q]
+	for i, octs := range resp {
 		if len(octs) == 0 {
 			continue
 		}
-		enc.tree(q.Tree)
-		enc.oct(q.R)
+		enc.tree(qs[i].tree)
+		enc.oct(qs[i].r)
 		enc.count(len(octs))
 		for _, o := range octs {
 			enc.oct(o)
@@ -593,20 +596,22 @@ type respHit struct {
 	qi, li int32
 }
 
-// respondQueries computes response octants for a list of queries against
-// the local partition.  Candidate leaves come from one simultaneous
-// traversal per tree chunk (traverse.SearchBoundary): the chunk's implicit
-// octree is walked against the insulation boxes of the chunk's queries, so
-// subtrees far from every query region are pruned wholesale — the old code
-// instead ran up to 27 window searches per query.  An aligned cube
-// intersects an aligned insulation cell with positive volume only if one
-// contains the other, so the matched set equals the classical per-region
-// overlap union exactly.  Traversal tasks and then the per-query seed
-// computations fan out over the worker pool via par; hits are re-sorted by
-// (query, curve position) and each result lands in the slot of its query
-// index, keeping the output bit-identical at every worker count.  st (may
-// be nil) accumulates traversal work counters.
-func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par func(int, func(int)), st *traverse.Stats) map[query][]octant.Octant {
+// respondQueries computes the response octants of a list of queries against
+// the local partition, as a slice aligned with qs.  The queries arrive
+// sorted by tree (should a tree recur, it just opens another run), so each
+// run of one tree is answered by one simultaneous
+// traversal of that tree's chunk (traverse.SearchBoundary): the chunk's
+// implicit octree is walked against the insulation boxes of the run's
+// queries, so subtrees far from every query region are pruned wholesale.
+// An aligned cube intersects an aligned insulation cell with positive
+// volume only if one contains the other, so the matched set equals the
+// classical per-region overlap union exactly.  Traversal tasks and then the
+// per-query seed computations fan out over the worker pool via par; a
+// stable counting sort regroups the curve-ordered hits by query, and each
+// result lands in the slot of its query index, keeping the output
+// bit-identical at every worker count.  st (may be nil) accumulates
+// traversal work counters.
+func (f *Forest) respondQueries(qs []queryRec, k int, algo Algo, workers int, par func(int, func(int)), st *traverse.Stats) [][]octant.Octant {
 	if st == nil {
 		st = new(traverse.Stats)
 	}
@@ -617,18 +622,19 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 		maxTasks = 4 * workers
 	}
 	var hits []respHit
-	for ci := range f.Local {
-		tc := &f.Local[ci]
-		var qidx []int32
-		var boxes []traverse.Box
-		for i := range qs {
-			if qs[i].Tree == tc.Tree {
-				qidx = append(qidx, int32(i))
-				boxes = append(boxes, traverse.InsulationBox(qs[i].R))
-			}
+	qchunk := make([]int32, len(qs)) // chunk of each query's tree
+	for lo, hi := 0, 0; lo < len(qs); lo = hi {
+		for hi = lo + 1; hi < len(qs) && qs[hi].tree == qs[lo].tree; hi++ {
 		}
-		if len(qidx) == 0 {
-			continue
+		ci := f.chunkIndex(qs[lo].tree)
+		if ci < 0 {
+			continue // no local leaves in this tree: nothing to answer
+		}
+		tc := &f.Local[ci]
+		boxes := make([]traverse.Box, hi-lo)
+		for i := range boxes {
+			qchunk[lo+i] = int32(ci)
+			boxes[i] = traverse.InsulationBox(qs[lo+i].r)
 		}
 		tasks := traverse.SplitTasksKeys(rootKey, tc.Leaves, maxTasks)
 		taskHits := make([][]respHit, len(tasks))
@@ -638,10 +644,10 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 			var out []respHit
 			traverse.SearchBoundaryKeys(t.Root, tc.Leaves[t.Lo:t.Hi], boxes, func(li, bi int) {
 				abs := int32(t.Lo + li)
-				if precludedLevel(tc.Leaves[abs].Level(), qs[qidx[bi]].R) {
+				if precludedLevel(tc.Leaves[abs].Level(), qs[lo+bi].r) {
 					return
 				}
-				out = append(out, respHit{qi: qidx[bi], li: abs})
+				out = append(out, respHit{qi: int32(lo + bi), li: abs})
 			}, &taskStats[i])
 			taskHits[i] = out
 		})
@@ -650,37 +656,34 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 			st.Merge(taskStats[i])
 		}
 	}
-	// Regroup the curve-ordered hits into one contiguous ascending run per
-	// query, then compute each query's response from its run.
-	slices.SortFunc(hits, func(a, b respHit) int {
-		if a.qi != b.qi {
-			return int(a.qi) - int(b.qi)
-		}
-		return int(a.li) - int(b.li)
-	})
-	runLo := make([]int, len(qs))
-	runHi := make([]int, len(qs))
-	for i := 0; i < len(hits); {
-		j := i
-		qi := hits[i].qi
-		for j < len(hits) && hits[j].qi == qi {
-			j++
-		}
-		runLo[qi], runHi[qi] = i, j
-		i = j
+	// Regroup the curve-ordered hits into one contiguous run per query with
+	// a stable counting sort on the query index, then compute each query's
+	// response from its run.
+	runStart := make([]int32, len(qs)+1)
+	for _, h := range hits {
+		runStart[h.qi+1]++
+	}
+	for i := range qs {
+		runStart[i+1] += runStart[i]
+	}
+	byQuery := make([]int32, len(hits)) // leaf indices, grouped by query
+	next := slices.Clone(runStart[:len(qs)])
+	for _, h := range hits {
+		byQuery[next[h.qi]] = h.li
+		next[h.qi]++
 	}
 	par(len(qs), func(qi int) {
-		lo, hi := runLo[qi], runHi[qi]
-		if lo >= hi {
+		run := byQuery[runStart[qi]:runStart[qi+1]]
+		if len(run) == 0 {
 			return
 		}
-		q := qs[qi]
-		leaves := f.chunkFor(q.Tree).Leaves
+		r := qs[qi].r
+		leaves := f.Local[qchunk[qi]].Leaves
 		var resp []octant.Octant
-		for _, h := range hits[lo:hi] {
-			o := leaves[h.li].Octant()
+		for _, li := range run {
+			o := leaves[li].Octant()
 			if algo == AlgoNew {
-				if seeds, splits := balance.Seeds(o, q.R, k); splits {
+				if seeds, splits := balance.Seeds(o, r, k); splits {
 					resp = append(resp, seeds...)
 				}
 			} else {
@@ -689,16 +692,10 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 		}
 		if len(resp) > 0 {
 			linear.Sort(resp)
-			results[qi] = dedupOctants(resp)
+			results[qi] = slices.Compact(resp)
 		}
 	})
-	out := make(map[query][]octant.Octant, len(qs))
-	for i, q := range qs {
-		if len(results[i]) > 0 {
-			out[q] = results[i]
-		}
-	}
-	return out
+	return results
 }
 
 // queryPrunable reports whether no leaf below virtual node w of tree t can
@@ -711,44 +708,43 @@ func (f *Forest) respondQueries(qs []query, k int, algo Algo, workers int, par f
 //
 // w and the insulation grid are packed: the cell fan comes from the batch
 // neighbor kernel (octant.KeyNeighbors into buf, len(dirs) entries), and
-// cells still inside the root — for which Canonicalize is the identity —
-// take the key-native owner lookup without ever materializing coordinates.
-// Only cells crossing the root boundary unpack for the connectivity map.
+// every cell resolves through the key-native cellOwners — in-root cells on
+// the owner table, cells across the root boundary on the connectivity's
+// neighbor table — without materializing coordinates.
 func (f *Forest) queryPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
 	if first, last := ot.ownersOfRegionKey(t, w); first != me || last != me {
 		return false
 	}
 	octant.KeyNeighbors(w, dirs, buf)
 	for _, cell := range buf[:len(dirs)] {
-		if cell.InsideRoot() {
-			if first, last := ot.ownersOfRegionKey(t, cell); first != me || last != me {
-				return false
-			}
-			continue
-		}
-		ti, cell2, _, ok := f.Conn.Canonicalize(t, cell.Octant())
+		ti, _, first, last, ok := f.cellOwners(ot, t, cell)
 		if !ok {
 			continue // domain boundary: no interaction
 		}
-		if ti != t {
-			return false
-		}
-		if first, last := f.OwnersOfRegion(ti, cell2); first != me || last != me {
+		if ti != t || first != me || last != me {
 			return false
 		}
 	}
 	return true
 }
 
-// queryBoundaryLeaves returns, per local chunk, the ascending indices of
-// the leaves that can generate balance queries — those not under a subtree
-// the recursive traversal proved to have an entirely same-tree, rank-local
-// insulation neighborhood.  Leaves outside the result contribute nothing to
-// the query sets, so enumerating only the survivors reproduces phase 2
-// exactly.  Top-level subtree tasks fan out over the worker pool; task
-// windows are emitted in curve order, so the index lists are deterministic
-// for a fixed task count (the query sets are identical at any count).
-func (f *Forest) queryBoundaryLeaves(me, workers int, par func(int, func(int))) ([][]int32, traverse.Stats) {
+// boundaryTask is one subtree window of a local chunk with the ascending
+// indices of its leaves that can generate balance queries.
+type boundaryTask struct {
+	chunk  int
+	window traverse.TaskKeys
+	leaves []int32
+}
+
+// queryBoundaryLeaves returns the leaves that can generate balance queries
+// — those not under a subtree the recursive traversal proved to have an
+// entirely same-tree, rank-local insulation neighborhood — as subtree
+// tasks in chunk and curve order.  Leaves outside the result contribute
+// nothing to the query sets, so enumerating only the survivors reproduces
+// phase 2 exactly.  The tasks fan out over the worker pool; the task split
+// depends only on the worker count, and the query records built from it
+// are identical at any count.
+func (f *Forest) queryBoundaryLeaves(me, workers int, par func(int, func(int))) ([]boundaryTask, traverse.Stats) {
 	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
 	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
 	ot := f.ownerTable() // warmed serially; workers only read it
@@ -756,59 +752,110 @@ func (f *Forest) queryBoundaryLeaves(me, workers int, par func(int, func(int))) 
 	if workers > 1 {
 		maxTasks = 4 * workers
 	}
-	type boundaryTask struct {
-		chunk int
-		t     traverse.TaskKeys
-	}
 	var tasks []boundaryTask
 	for ci := range f.Local {
 		for _, t := range traverse.SplitTasksKeys(rootKey, f.Local[ci].Leaves, maxTasks) {
-			tasks = append(tasks, boundaryTask{chunk: ci, t: t})
+			tasks = append(tasks, boundaryTask{chunk: ci, window: t})
 		}
 	}
-	taskIdx := make([][]int32, len(tasks))
 	taskStats := make([]traverse.Stats, len(tasks))
+	par(len(tasks), func(i int) {
+		w, tc := tasks[i].window, &f.Local[tasks[i].chunk]
+		var idx []int32
+		buf := make([]octant.Key, len(dirs))
+		traverse.SearchKeys(w.Root, tc.Leaves[w.Lo:w.Hi], func(n octant.Key, lo, _ int, isLeaf bool) bool {
+			if isLeaf {
+				idx = append(idx, int32(w.Lo+lo))
+				return true
+			}
+			return !f.queryPrunable(ot, dirs, buf, tc.Tree, n, me)
+		}, &taskStats[i])
+		tasks[i].leaves = idx
+	})
+	var st traverse.Stats
+	for i := range taskStats {
+		st.Merge(taskStats[i])
+	}
+	return tasks, st
+}
+
+// leafPeer is one distinct (receiver, neighbor cell) pair of a boundary
+// leaf: the leaf's query to that receiver in the frame of the tree in
+// that cell of its tree's neighbor table.
+type leafPeer struct {
+	peer int32
+	cell int32
+}
+
+// buildQueries is phase 2 of Balance: every boundary leaf fans out its
+// insulation layer (octant.KeyNeighbors), resolves each cell's tree and
+// owner ranks key-natively (cellOwners), and emits one record per distinct
+// (receiver, neighbor cell) — a query depends only on those and the leaf,
+// not on the direction that found it, so the 3^d-1 directions collapse per
+// leaf before anything is stored.  Same-tree interactions with this rank
+// itself are phase 1's business and emit nothing.  The boundary tasks emit
+// in parallel; the concatenation is sorted once into compareQueryRecs
+// order and returned with the traversal statistics.
+func (f *Forest) buildQueries(me, workers int, par func(int, func(int))) ([]queryRec, traverse.Stats) {
+	tasks, st := f.queryBoundaryLeaves(me, workers, par)
+	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
+	ot := f.ownerTable()
+	taskRecs := make([][]queryRec, len(tasks))
 	par(len(tasks), func(i int) {
 		tk := tasks[i]
 		tc := &f.Local[tk.chunk]
-		var idx []int32
 		buf := make([]octant.Key, len(dirs))
-		traverse.SearchKeys(tk.t.Root, tc.Leaves[tk.t.Lo:tk.t.Hi], func(w octant.Key, lo, _ int, isLeaf bool) bool {
-			if isLeaf {
-				idx = append(idx, int32(tk.t.Lo+lo))
-				return true
+		var targets []leafPeer
+		var out []queryRec
+		// In a tree this rank owns whole, only cells across the root
+		// boundary can emit: a leaf whose insulation layer stays in the
+		// root, as its two extreme corner cells show, skips the fan.
+		whole := ot.trees[tc.Tree] == [2]int{me, me}
+		for _, li := range tk.leaves {
+			k := tc.Leaves[li]
+			if whole && k.Neighbor(octant.Dir{-1, -1, -1}).InsideRoot() && k.Neighbor(octant.Dir{1, 1, 1}).InsideRoot() {
+				continue
 			}
-			return !f.queryPrunable(ot, dirs, buf, tc.Tree, w, me)
-		}, &taskStats[i])
-		taskIdx[i] = idx
+			octant.KeyNeighbors(k, dirs, buf)
+			targets = targets[:0]
+			for _, cell := range buf[:len(dirs)] {
+				ti, nb, first, last, ok := f.cellOwners(ot, tc.Tree, cell)
+				if !ok {
+					continue // domain boundary
+				}
+				for rank := first; rank <= last; rank++ {
+					if rank == me && ti == tc.Tree {
+						continue
+					}
+					if p := (leafPeer{peer: int32(rank), cell: int32(nb)}); !slices.Contains(targets, p) {
+						targets = append(targets, p)
+					}
+				}
+			}
+			if len(targets) == 0 {
+				continue
+			}
+			r := k.Octant()
+			for _, p := range targets {
+				nbr := f.Conn.neighbor(tc.Tree, int(p.cell))
+				out = append(out, queryRec{
+					peer: p.peer, tree: nbr.tree, r: nbr.shift.Apply(r),
+					chunk: int32(tk.chunk), leaf: li,
+				})
+			}
+		}
+		taskRecs[i] = out
 	})
-	out := make([][]int32, len(f.Local))
-	var st traverse.Stats
-	for i := range tasks {
-		out[tasks[i].chunk] = append(out[tasks[i].chunk], taskIdx[i]...)
-		st.Merge(taskStats[i])
+	n := 0
+	for _, rs := range taskRecs {
+		n += len(rs)
 	}
-	return out, st
-}
-
-func dedupOctants(octs []octant.Octant) []octant.Octant {
-	out := octs[:0]
-	for i, o := range octs {
-		if i == 0 || o != octs[i-1] {
-			out = append(out, o)
-		}
+	recs := make([]queryRec, 0, n)
+	for _, rs := range taskRecs {
+		recs = append(recs, rs...)
 	}
-	return out
-}
-
-func dedupKeys(keys []octant.Key) []octant.Key {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out
+	slices.SortFunc(recs, compareQueryRecs)
+	return recs, st
 }
 
 // rebalanceJob is one unit of the paper's Local rebalance: the seeds
@@ -819,24 +866,9 @@ func dedupKeys(keys []octant.Key) []octant.Key {
 // rk is r packed, the form the subtree reconstruction and the splice
 // merge operate on.
 type rebalanceJob struct {
-	r     octant.Octant
 	rk    octant.Key
 	seeds []octant.Octant
 	sub   []octant.Key
-}
-
-// appendRebalanceJobs flattens one tree's response groups into jobs, sorted
-// by the query octant's Morton position (r is a local leaf, so the Morton
-// order is well defined) for a deterministic job list and for the splice
-// merge, which consumes jobs in leaf order.
-func appendRebalanceJobs(jobs []rebalanceJob, groups map[octant.Octant][]octant.Octant) []rebalanceJob {
-	start := len(jobs)
-	for r, seeds := range groups {
-		jobs = append(jobs, rebalanceJob{r: r, rk: octant.KeyOf(r), seeds: seeds})
-	}
-	added := jobs[start:]
-	slices.SortFunc(added, func(a, b rebalanceJob) int { return octant.KeyCompare(a.rk, b.rk) })
-	return jobs
 }
 
 // spliceReplaceKeys merges the reconstructed subtrees into the tree's leaf
@@ -891,10 +923,10 @@ func spliceReplaceKeys(leaves []octant.Key, jobs []rebalanceJob) []octant.Key {
 // is rebalanced at tree scope together with all received raw octants, using
 // auxiliary octants for out-of-root and distant influences, and the result
 // is clipped back to the owned range.
-func rebalanceOld(root octant.Octant, leaves []octant.Octant, groups map[octant.Octant][]octant.Octant, k int) []octant.Octant {
+func rebalanceOld(root octant.Octant, leaves []octant.Octant, infl []influence, k int) []octant.Octant {
 	var inRoot, outside []octant.Octant
-	for _, octs := range groups {
-		for _, o := range octs {
+	for _, in := range infl {
+		for _, o := range in.octs {
 			if root.IsAncestorOrEqual(o) {
 				inRoot = append(inRoot, o)
 			} else {
@@ -905,7 +937,7 @@ func rebalanceOld(root octant.Octant, leaves []octant.Octant, groups map[octant.
 	first, last := leaves[0], leaves[len(leaves)-1]
 	in := append(append(make([]octant.Octant, 0, len(leaves)+len(inRoot)), leaves...), inRoot...)
 	linear.Sort(in)
-	in = dedupOctants(in)
+	in = slices.Compact(in)
 	bal := balance.SubtreeOldExtended(root, in, outside, k)
 	return clipToRange(bal, first, last)
 }

@@ -29,6 +29,19 @@ type Connectivity struct {
 	// is masked out.  treeCell is the inverse.
 	cellTree []int32
 	treeCell [][3]int
+
+	// nbrs is the per-tree neighbor table: entry t*nbrCells(dim)+cell is
+	// the tree holding root-sized grid cell cell (octant.Key.RootCell
+	// numbering) around tree t, and the shift into its frame.
+	nbrs []treeNeighbor
+}
+
+// treeNeighbor is one neighbor-table entry: the tree occupying a grid cell
+// around a tree (-1 outside the domain) and the shift that expresses the
+// tree's octants in that neighbor's frame.
+type treeNeighbor struct {
+	tree  int32
+	shift Shift
 }
 
 // NewBrick creates a brick connectivity of nx × ny (× nz) unit trees.  In
@@ -86,6 +99,57 @@ func (c *Connectivity) buildIndex(keep func(x, y, z int) bool) {
 			}
 		}
 	}
+	c.buildNeighbors()
+}
+
+// nbrCells is the number of root-sized grid cells around and including a
+// tree: 3^dim.
+func nbrCells(dim int) int {
+	if dim == 2 {
+		return 9
+	}
+	return 27
+}
+
+// buildNeighbors fills the neighbor table from the grid: for every tree
+// and every offset in {-1,0,1}^dim, the tree in the offset cell (wrapping
+// periodic axes) and the translation into its frame.
+func (c *Connectivity) buildNeighbors() {
+	nc := nbrCells(c.dim)
+	c.nbrs = make([]treeNeighbor, len(c.treeCell)*nc)
+	for t, cell := range c.treeCell {
+		for i := 0; i < nc; i++ {
+			e := treeNeighbor{tree: -1}
+			var ncell [3]int
+			ok := true
+			for a, rest := 0, i; a < 3; a++ {
+				off := 0
+				if a < c.dim {
+					off = rest%3 - 1
+					rest /= 3
+				}
+				v := cell[a] + off
+				if v < 0 || v >= c.n[a] {
+					if !c.periodic[a] {
+						ok = false
+						break
+					}
+					v = (v + c.n[a]) % c.n[a]
+				}
+				ncell[a] = v
+				e.shift[a] = -int32(off) * octant.RootLen
+			}
+			if ok {
+				e.tree = c.cellTree[c.rasterIndex(ncell[0], ncell[1], ncell[2])]
+			}
+			c.nbrs[t*nc+i] = e
+		}
+	}
+}
+
+// neighbor returns tree t's neighbor-table entry for grid cell cell.
+func (c *Connectivity) neighbor(t int32, cell int) treeNeighbor {
+	return c.nbrs[int(t)*nbrCells(c.dim)+cell]
 }
 
 func (c *Connectivity) rasterIndex(x, y, z int) int {
@@ -134,38 +198,41 @@ func (s Shift) Inverse() Shift { return Shift{-s[0], -s[1], -s[2]} }
 // divides the root length and their corners are grid aligned, so each one
 // lies in exactly one grid cell.
 func (c *Connectivity) Canonicalize(tree int32, o octant.Octant) (nt int32, no octant.Octant, shift Shift, ok bool) {
-	var off [3]int
+	cell, pow := 0, 1
 	for i := 0; i < c.dim; i++ {
+		off := 1
 		switch {
 		case o.Coord(i) < 0:
-			off[i] = -1
+			off = 0
 		case o.Coord(i) >= octant.RootLen:
-			off[i] = 1
+			off = 2
 		}
+		cell += off * pow
+		pow *= 3
 	}
-	if off == [3]int{} {
+	if cell == nbrCells(c.dim)/2 {
 		return tree, o, Shift{}, true
 	}
-	cell := c.treeCell[tree]
-	var ncell [3]int
-	for i := 0; i < 3; i++ {
-		v := cell[i] + off[i]
-		if v < 0 || v >= c.n[i] {
-			if !c.periodic[i] {
-				return 0, octant.Octant{}, Shift{}, false
-			}
-			v = (v + c.n[i]) % c.n[i]
-		}
-		ncell[i] = v
-	}
-	nt = c.cellTree[c.rasterIndex(ncell[0], ncell[1], ncell[2])]
-	if nt < 0 {
+	e := c.neighbor(tree, cell)
+	if e.tree < 0 {
 		return 0, octant.Octant{}, Shift{}, false
 	}
-	shift = Shift{
-		-int32(off[0]) * octant.RootLen,
-		-int32(off[1]) * octant.RootLen,
-		-int32(off[2]) * octant.RootLen,
+	return e.tree, e.shift.Apply(o), e.shift, true
+}
+
+// canonicalizeKey is Canonicalize on a packed key within one root length
+// of tree's root cube, answered from the neighbor table without unpacking:
+// the key's grid cell (octant.Key.RootCell) selects the entry, and the
+// translation into the neighbor's frame is the key's RootImage.  cell
+// identifies the neighbor for Connectivity.neighbor.
+func (c *Connectivity) canonicalizeKey(tree int32, k octant.Key) (nt int32, nk octant.Key, cell int, ok bool) {
+	if k.InsideRoot() {
+		return tree, k, nbrCells(c.dim) / 2, true
 	}
-	return nt, shift.Apply(o), shift, true
+	cell = k.RootCell()
+	e := c.neighbor(tree, cell)
+	if e.tree < 0 {
+		return 0, octant.Key{}, 0, false
+	}
+	return e.tree, k.RootImage(), cell, true
 }

@@ -116,8 +116,8 @@ func NewUniform(conn *Connectivity, c *comm.Comm, level int) *Forest {
 	if level < 0 || conn.dim*level > 62 {
 		panic("forest: invalid uniform level")
 	}
-	perTree := int64(1) << uint(conn.dim*level)
-	total := int64(conn.NumTrees()) * perTree
+	leavesPerTree := int64(1) << uint(conn.dim*level)
+	total := int64(conn.NumTrees()) * leavesPerTree
 	p := int64(c.Size())
 	rank := int64(c.Rank())
 	lo := total * rank / p
@@ -125,9 +125,9 @@ func NewUniform(conn *Connectivity, c *comm.Comm, level int) *Forest {
 
 	f := &Forest{Conn: conn, NumGlobal: total}
 	for g := lo; g < hi; {
-		t := int32(g / perTree)
-		first := g % perTree
-		last := perTree
+		t := int32(g / leavesPerTree)
+		first := g % leavesPerTree
+		last := leavesPerTree
 		if remaining := hi - g; first+remaining < last {
 			last = first + remaining
 		}
@@ -226,6 +226,10 @@ type ownerEntry struct {
 // OwnerOf.
 type ownerTable struct {
 	entries []ownerEntry
+	// trees holds, per tree, the inclusive range of ranks owning part of
+	// it.  Most trees of a partitioned brick lie within one rank, and
+	// every cell of such a tree resolves without a search.
+	trees [][2]int
 }
 
 // rebuildOwnerTable derives the key-native owner table from GFP.  Called
@@ -238,7 +242,15 @@ func (f *Forest) rebuildOwnerTable() {
 	for i, p := range f.GFP {
 		entries[i] = ownerEntry{tree: p.Tree, key: octant.KeyOf(p.anchor(dim))}
 	}
-	f.otab = &ownerTable{entries: entries}
+	ot := &ownerTable{entries: entries, trees: make([][2]int, f.Conn.NumTrees())}
+	if len(entries) > 0 {
+		root := octant.KeyOf(octant.Root(dim))
+		first, last := root.FirstDescendant(octant.MaxLevel), root.LastDescendant(octant.MaxLevel)
+		for t := range ot.trees {
+			ot.trees[t] = [2]int{ot.ownerOfKey(int32(t), first), ot.ownerOfKey(int32(t), last)}
+		}
+	}
+	f.otab = ot
 	f.otabSrc = nil
 	f.otabLen = len(f.GFP)
 	if len(f.GFP) > 0 {
@@ -278,8 +290,26 @@ func (ot *ownerTable) ownerOfKey(t int32, k octant.Key) int {
 // overlap the in-root region with packed key w in tree t — OwnersOfRegion
 // without unpacking.
 func (ot *ownerTable) ownersOfRegionKey(t int32, w octant.Key) (first, last int) {
+	if r := ot.trees[t]; r[0] == r[1] {
+		return r[0], r[0]
+	}
 	return ot.ownerOfKey(t, w.FirstDescendant(octant.MaxLevel)),
 		ot.ownerOfKey(t, w.LastDescendant(octant.MaxLevel))
+}
+
+// cellOwners resolves an insulation cell of a node of tree t — a packed
+// key within one root length of t's root cube — to the tree holding it,
+// its neighbor-table cell (see Connectivity.neighbor), and the inclusive
+// rank range owning it.  In-root cells go straight to the owner table;
+// cells that leave the root take the neighbor table and the key's
+// RootImage, so nothing is unpacked.  ok is false outside the domain.
+func (f *Forest) cellOwners(ot *ownerTable, t int32, cell octant.Key) (ti int32, nb, first, last int, ok bool) {
+	ti, cell, nb, ok = f.Conn.canonicalizeKey(t, cell)
+	if !ok {
+		return 0, 0, 0, 0, false
+	}
+	first, last = ot.ownersOfRegionKey(ti, cell)
+	return ti, nb, first, last, true
 }
 
 // OwnerOf returns the rank owning the given global position.
@@ -414,10 +444,18 @@ func (f *Forest) Validate() error {
 
 // chunkFor returns the chunk of tree t, or nil.
 func (f *Forest) chunkFor(t int32) *TreeChunk {
-	for i := range f.Local {
-		if f.Local[i].Tree == t {
-			return &f.Local[i]
-		}
+	if i := f.chunkIndex(t); i >= 0 {
+		return &f.Local[i]
 	}
 	return nil
+}
+
+// chunkIndex returns the index in Local of the chunk of tree t, or -1.
+func (f *Forest) chunkIndex(t int32) int {
+	for i := range f.Local {
+		if f.Local[i].Tree == t {
+			return i
+		}
+	}
+	return -1
 }

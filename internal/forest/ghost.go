@@ -71,25 +71,16 @@ func compareGhostSends(a, b GhostSend) int {
 // range of its enclosing region.
 //
 // Like queryPrunable, the node and its insulation grid stay packed: the
-// cell fan is the batch neighbor kernel and in-root cells (Canonicalize is
-// the identity there) take the key-native owner lookup directly.
+// cell fan is the batch neighbor kernel and every cell resolves through
+// the key-native cellOwners.
 func (f *Forest) ghostPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
 	if first, last := ot.ownersOfRegionKey(t, w); first != me || last != me {
 		return false
 	}
 	octant.KeyNeighbors(w, dirs, buf)
 	for _, cell := range buf[:len(dirs)] {
-		if cell.InsideRoot() {
-			if first, last := ot.ownersOfRegionKey(t, cell); first != me || last != me {
-				return false
-			}
-			continue
-		}
-		ti, cell2, _, ok := f.Conn.Canonicalize(t, cell.Octant())
-		if !ok {
-			continue // outside the domain: no receiver there
-		}
-		if first, last := f.OwnersOfRegion(ti, cell2); first != me || last != me {
+		_, _, first, last, ok := f.cellOwners(ot, t, cell)
+		if ok && (first != me || last != me) {
 			return false
 		}
 	}
@@ -145,15 +136,9 @@ func (f *Forest) GhostScan(me int) ([]GhostSend, traverse.Stats) {
 			unpacked := false
 			octant.KeyNeighbors(w, dirs, buf)
 			for _, n := range buf[:len(dirs)] {
-				var first, last int
-				if n.InsideRoot() {
-					first, last = ot.ownersOfRegionKey(tk.tree, n)
-				} else {
-					ti, n2, _, ok := f.Conn.Canonicalize(tk.tree, n.Octant())
-					if !ok {
-						continue
-					}
-					first, last = f.OwnersOfRegion(ti, n2)
+				_, _, first, last, ok := f.cellOwners(ot, tk.tree, n)
+				if !ok {
+					continue
 				}
 				for rank := first; rank <= last; rank++ {
 					if rank == me {

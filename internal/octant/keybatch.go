@@ -33,6 +33,42 @@ func (k Key) InsideRoot() bool {
 	return k.Hi&insideRootMask3 == insideRootWant3
 }
 
+// RootCell returns the index of the root-sized grid cell holding k among
+// the 3^dim cells of the root's insulation layer: the sum over the axes of
+// (off[a]+1)·3^a, where off[a] is -1, 0 or +1 as k lies below, inside or
+// above the root along axis a.  The root itself is cell (3^dim-1)/2.  k
+// must lie within one root length of the root, as every neighbor of an
+// in-root octant does.  Like InsideRoot it reads only the top two bits of
+// each sign-shifted coordinate: 01 below, 10 inside, 11 above.
+func (k Key) RootCell() int {
+	dim := uint(k.Dim())
+	top := k.Hi >> 58 // 3D: bit 30 of axis a at bit a, bit 31 at bit 3+a
+	if dim == 2 {
+		top = k.Hi >> 60 // 2D: bit 30 of axis a at bit a, bit 31 at bit 2+a
+	}
+	cell, pow := 0, 1
+	for a := uint(0); a < dim; a++ {
+		hi, lo := top>>(dim+a)&1, top>>a&1
+		cell += int(hi+hi&lo) * pow
+		pow *= 3
+	}
+	return cell
+}
+
+// RootImage returns k translated by whole root lengths into the root cube:
+// the top two bits of every sign-shifted coordinate are forced to the
+// in-root pattern 10, which for a key within one root length of the root
+// is exactly the brick translation of a forest's Canonicalize, done on the
+// packed key.
+func (k Key) RootImage() Key {
+	if k.Dim() == 2 {
+		k.Hi = k.Hi&^insideRootMask2 | insideRootWant2
+	} else {
+		k.Hi = k.Hi&^insideRootMask3 | insideRootWant3
+	}
+	return k
+}
+
 // KeyChildren writes the children of k into out in child order and returns
 // their count.  The split/level bookkeeping runs once for the whole family
 // instead of once per Child call.

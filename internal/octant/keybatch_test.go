@@ -18,6 +18,38 @@ func TestKeyInsideRootAgrees(t *testing.T) {
 	}
 }
 
+// TestKeyRootCellAgrees pins RootCell and RootImage to the struct
+// coordinates: every lattice octant within one root length of the root
+// lands in the grid cell its coordinates name, and its root image is the
+// octant translated by whole root lengths into the root.
+func TestKeyRootCellAgrees(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		for _, o := range keyLattice(dim) {
+			cell, pow := 0, 1
+			img := o
+			for a := 0; a < dim; a++ {
+				off := 0
+				switch c := o.Coord(a); {
+				case c < 0:
+					off = -1
+				case c >= RootLen:
+					off = 1
+				}
+				cell += (off + 1) * pow
+				pow *= 3
+				img = img.WithCoord(a, o.Coord(a)-int32(off)*RootLen)
+			}
+			k := KeyOf(o)
+			if got := k.RootCell(); got != cell {
+				t.Fatalf("dim %d: RootCell(%v) = %d, want %d", dim, o, got, cell)
+			}
+			if got := k.RootImage(); got != KeyOf(img) {
+				t.Fatalf("dim %d: RootImage(%v) = %v, want %v", dim, o, got.Octant(), img)
+			}
+		}
+	}
+}
+
 // TestKeyChildrenAgrees pins the batch child fan to the scalar Child.
 func TestKeyChildrenAgrees(t *testing.T) {
 	for _, dim := range []int{2, 3} {
