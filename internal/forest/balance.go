@@ -108,15 +108,6 @@ type BalanceOptions struct {
 	// responses, and the notify pattern).  The balanced forest is
 	// bit-identical under every codec; only the byte volume changes.
 	Codec WireCodec
-	// StructLocal routes the Local balance (phase 1) through the legacy
-	// octant-struct pipeline: the resident key chunks are materialized as
-	// coordinate structs, balanced there, and packed back.  The zero value
-	// runs the key-resident path — the chunk representation itself — with
-	// no conversion at all.  The struct pipeline survives as the
-	// differential oracle (harness, stress -key-native off); the old Local
-	// stage (AlgoOld) always takes it.  The balanced forest is
-	// bit-identical either way.
-	StructLocal bool
 }
 
 // PhaseTimes records wall-clock durations of the one-pass balance phases as
@@ -205,17 +196,11 @@ const (
 // Set it only while no Balance call is in flight.
 var PreclusionFaultLevels int
 
-// precluded reports whether local leaf o is too coarse to force any split
-// of the query octant r: only octants at least two levels finer than r can
-// split r (Section IV).
-func precluded(o, r octant.Octant) bool {
-	return precludedLevel(o.Level, r)
-}
-
-// precludedLevel is precluded on a packed leaf's level alone — the only
-// field the test reads, so the key-native response path never unpacks
-// precluded candidates.
-func precludedLevel(lv int8, r octant.Octant) bool {
+// precluded reports whether a local leaf of level lv is too coarse to
+// force any split of the query octant r: only octants at least two levels
+// finer than r can split r (Section IV).  The level is the only field the
+// test reads, so the response path never unpacks precluded candidates.
+func precluded(lv int8, r octant.Octant) bool {
 	return int(lv) < int(r.Level)+2+PreclusionFaultLevels
 }
 
@@ -235,24 +220,55 @@ type queryRec struct {
 // Balance enforces the k-balance condition across the entire forest using
 // the one-pass parallel algorithm of Section II-B with the selected
 // variants.  Collective.  It returns this rank's phase timings; reduce with
-// AllreducePhaseTimes for the global maximum.
+// AllreducePhaseTimes for the global maximum.  Each phase is one function
+// with explicit inputs and outputs; Balance only sequences them and opens
+// their spans.
 func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	if k < 1 || k > f.Conn.dim {
 		panic("forest: invalid balance condition")
 	}
 	var times PhaseTimes
-	root := octant.Root(f.Conn.dim)
-	localAlgo := opt.LocalStage.resolve(opt.Algo)
 	remoteAlgo := opt.RemoteStage.resolve(opt.Algo)
 	workers := opt.workerCount()
+	par := balancePool(c, workers)
+
+	ps := beginPhase(c, "local-balance")
+	f.localBalance(k, opt.LocalStage.resolve(opt.Algo), par)
+	times.LocalBalance = ps.end()
+
+	ps = beginPhase(c, "query")
+	recs := f.buildQueries(c, workers, par)
+	queryBuildTime := ps.end()
+
+	ps = beginPhase(c, "notify")
+	sendTo, senders := notifyPattern(c, recs, opt)
+	times.Notify = ps.end()
+
+	// The query construction is reported as part of Query and Response,
+	// the paper's grouping of Figures 15 and 17.
+	ps = beginPhase(c, "query-response")
+	infl := f.exchange(c, recs, sendTo, senders, k, remoteAlgo, opt.Codec, workers, par)
+	times.QueryResponse = ps.end() + queryBuildTime
+
+	ps = beginPhase(c, "rebalance")
+	f.rebalance(infl, k, remoteAlgo, par)
+	times.Rebalance = ps.end()
+
+	c.SetPhase("default")
+	f.NumGlobal = c.AllreduceSumInt64(f.NumLocal())
+	return times
+}
+
+// balancePool returns the par function the balance phases fan their
+// independent tasks out with: n tasks over the rank-local worker pool,
+// bracketed by a local/par span.  The span is opened and closed on the
+// rank's own goroutine (workers never touch the tracer), so the strict
+// per-rank span nesting holds.
+func balancePool(c *comm.Comm, workers int) func(n int, task func(i int)) {
 	if workers > 1 {
 		c.Tracer().ObserveMax(c.Rank(), obs.GaugeLocalWorkers, int64(workers))
 	}
-	// runParallel fans n independent tasks out over the worker pool,
-	// bracketed by a local/par span.  The span is opened and closed on the
-	// rank's own goroutine (workers never touch the tracer), so the strict
-	// per-rank span nesting holds.
-	runParallel := func(n int, task func(i int)) {
+	return func(n int, task func(i int)) {
 		if workers > 1 && n > 1 {
 			sp := c.Tracer().Begin(c.Rank(), obs.SpanLocalPar, "balance")
 			parallelFor(workers, n, task)
@@ -261,43 +277,34 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		}
 		parallelFor(1, n, task)
 	}
+}
 
-	// Phase 1: Local balance.  Balance each local tree chunk as a
-	// subtree, clipped back to the owned curve range.  Chunks are
-	// independent (each is balanced within its own enclosing subtree), so
-	// they go to the pool as-is; a chunk is never subdivided further
-	// because balance interactions couple everything inside it.
-	ps := beginPhase(c, "local-balance")
-	structLocal := opt.StructLocal || localAlgo != AlgoNew
-	runParallel(len(f.Local), func(i int) {
+// localBalance is phase 1, Local balance: each local tree chunk is
+// balanced as a subtree, clipped back to the owned curve range.  Chunks
+// are independent (each is balanced within its own enclosing subtree), so
+// they go to the pool as-is; a chunk is never subdivided further because
+// balance interactions couple everything inside it.  The new algorithm
+// runs on the resident keys; the old one (the paper's Fig. 6 baseline)
+// balances materialized octants.
+func (f *Forest) localBalance(k int, algo Algo, par func(int, func(int))) {
+	par(len(f.Local), func(i int) {
 		tc := &f.Local[i]
-		if structLocal {
-			octs := localBalanceChunk(root, tc.Octants(), k, localAlgo)
-			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
-		} else {
+		if algo == AlgoNew {
 			tc.Leaves = localBalanceChunkKeys(tc.Leaves, k)
+			return
 		}
+		octs := localBalanceChunk(tc.Octants(), k, AlgoOld)
+		tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
 	})
-	times.LocalBalance = ps.end()
+}
 
-	// Phase 2: Query construction.  A recursive traversal per tree chunk
-	// (internal/traverse) first narrows the curve down to the leaves whose
-	// insulation layer can leave the local partition or cross a tree
-	// boundary; the surviving boundary leaves then emit their query
-	// records in parallel, and one sort orders them by receiver and wire
-	// position.  Receiver lists, self queries and provenance are runs and
-	// indices of that one slice.
-	ps = beginPhase(c, "query")
-	recs, queryStats := f.buildQueries(c.Rank(), workers, runParallel)
-	tr := c.Tracer()
-	tr.Add(c.Rank(), "balance/query-nodes", int64(queryStats.Nodes))
-	tr.Add(c.Rank(), "balance/query-leaves", int64(queryStats.Leaves))
-	tr.Add(c.Rank(), "balance/query-pruned", int64(queryStats.Pruned))
-	tr.Add(c.Rank(), "balance/query-records", int64(len(recs)))
-	queryBuildTime := ps.end()
-
-	// Phase 3: Notify — reverse the asymmetric pattern.
-	ps = beginPhase(c, "notify")
+// notifyPattern is phase 3, Notify: it reverses the asymmetric
+// communication pattern of the query records.  It returns the ranks this
+// rank sends queries to and the ranks it receives queries from.  Under
+// the Ranges scheme the sender lists contain false positives; sendTo then
+// covers them too, with zero-length queries, so every expected message
+// exists.
+func notifyPattern(c *comm.Comm, recs []queryRec, opt BalanceOptions) (sendTo, senders []int) {
 	me := int32(c.Rank())
 	var receivers []int
 	for i, q := range recs {
@@ -305,31 +312,32 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 			receivers = append(receivers, int(q.peer))
 		}
 	}
-	var senders []int
-	sendTo := receivers
 	switch opt.Notify {
 	case NotifyNaive:
-		senders = notify.NaiveCodec(c, receivers, opt.Codec)
+		return receivers, notify.NaiveCodec(c, receivers, opt.Codec)
 	case NotifyRanges:
 		mr := opt.MaxRanges
 		if mr <= 0 {
 			mr = 8
 		}
 		senders = notify.RangesCodec(c, receivers, mr, opt.Codec)
-		// The sender lists contain false positives; match them with
-		// zero-length queries so every expected message exists.
-		sendTo = notify.RangeCover(receivers, mr, c.Size(), c.Rank())
-	default:
-		senders = notify.NotifyCodec(c, receivers, opt.Codec)
+		return notify.RangeCover(receivers, mr, c.Size(), c.Rank()), senders
 	}
-	times.Notify = ps.end()
+	return receivers, notify.NotifyCodec(c, receivers, opt.Codec)
+}
 
-	// Phase 4: Query and Response exchange.
-	ps = beginPhase(c, "query-response")
+// exchange is phase 4, Query and Response: it sends each receiver in
+// sendTo its run of the query records, answers the queries of every rank
+// in senders (which may include false positives with empty query lists
+// under the Ranges scheme), answers the self queries — inter-tree
+// interactions within this rank — through the same response path without
+// messages, and collects every non-empty response as an influence on its
+// issuing local leaf.
+func (f *Forest) exchange(c *comm.Comm, recs []queryRec, sendTo, senders []int, k int, algo Algo, codec WireCodec, workers int, par func(int, func(int))) []influence {
 	dim := int8(f.Conn.dim)
 	for _, rank := range sendTo {
 		qs := peerRun(recs, int32(rank))
-		enc := wireEnc{b: comm.GetBuf(), codec: opt.Codec, dim: dim}
+		enc := wireEnc{b: comm.GetBuf(), codec: codec, dim: dim}
 		enc.count(len(qs))
 		for i := range qs {
 			enc.tree(qs[i].tree)
@@ -338,22 +346,16 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		c.AddRawBytes(enc.raw)
 		c.Send(rank, tagQuery, enc.b)
 	}
-	// Answer incoming queries (senders may include false positives with
-	// empty query lists under the Ranges scheme).
-	var respondStats traverse.Stats
+	var st traverse.Stats
 	for _, rank := range senders {
 		data := c.Recv(rank, tagQuery)
-		payload, raw := f.respond(data, k, remoteAlgo, opt.Codec, workers, runParallel, &respondStats)
+		payload, raw := f.respond(data, k, algo, codec, workers, par, &st)
 		c.AddRawBytes(raw)
 		c.Send(rank, tagResponse, payload)
 	}
-	// Handle self queries (inter-tree interactions within this rank)
-	// through the same response path, without messages.
-	selfQs := peerRun(recs, me)
-	selfResponses := f.respondQueries(selfQs, k, remoteAlgo, workers, runParallel, &respondStats)
-	// Collect responses as influences on the issuing local leaves.
+	selfQs := peerRun(recs, int32(c.Rank()))
 	var infl []influence
-	for i, octs := range selfResponses {
+	for i, octs := range f.respondQueries(selfQs, k, algo, workers, par, &st) {
 		if len(octs) > 0 {
 			infl = append(infl, f.influenceOf(selfQs[i], octs))
 		}
@@ -361,7 +363,7 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	for _, rank := range sendTo {
 		data := c.Recv(rank, tagResponse)
 		qs := peerRun(recs, int32(rank))
-		d := wireDec{b: data, codec: opt.Codec, dim: dim}
+		d := wireDec{b: data, codec: codec, dim: dim}
 		for d.more() {
 			t := d.tree()
 			r := d.oct()
@@ -382,86 +384,89 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		}
 		comm.PutBuf(data) // octs decoded into fresh slices above
 	}
-	tr.Add(c.Rank(), "balance/respond-nodes", int64(respondStats.Nodes))
-	tr.Add(c.Rank(), "balance/respond-leaves", int64(respondStats.Leaves))
-	tr.Add(c.Rank(), "balance/respond-pruned", int64(respondStats.Pruned))
-	times.QueryResponse = ps.end() + queryBuildTime
+	tr := c.Tracer()
+	tr.Add(c.Rank(), "balance/respond-nodes", int64(st.Nodes))
+	tr.Add(c.Rank(), "balance/respond-leaves", int64(st.Leaves))
+	tr.Add(c.Rank(), "balance/respond-pruned", int64(st.Pruned))
+	return infl
+}
 
-	// Phase 5: Local rebalance.  Merge the influences, already in the
-	// local frames, into the partition: grouped by issuing leaf, which in
-	// leaf-index order is the curve order of the leaves.
-	ps = beginPhase(c, "rebalance")
+// rebalance is phase 5, Local rebalance: it merges the influences, already
+// in the local frames, into the partition, grouped by issuing leaf — which
+// in leaf-index order is the curve order of the leaves.
+func (f *Forest) rebalance(infl []influence, k int, algo Algo, par func(int, func(int))) {
 	slices.SortFunc(infl, func(a, b influence) int {
 		if a.chunk != b.chunk {
 			return int(a.chunk) - int(b.chunk)
 		}
 		return int(a.leaf) - int(b.leaf)
 	})
-	if remoteAlgo == AlgoNew {
-		// Flatten the per-query-octant reconstructions across all local
-		// trees into one job list so the pool stays busy even when the
-		// responses concentrate on a single tree, then splice each
-		// reconstructed subtree into its tree's leaf array (a k-way merge
-		// over contiguous leaf segments, itself parallel across trees).
-		var jobs []rebalanceJob
-		jobRange := make([][2]int, len(f.Local))
-		for i := 0; i < len(infl); {
-			ci, li := infl[i].chunk, infl[i].leaf
-			// Every octs slice is freshly decoded or computed, so the
-			// first one can absorb the others.
-			seeds := infl[i].octs
-			for i++; i < len(infl) && infl[i].chunk == ci && infl[i].leaf == li; i++ {
-				seeds = append(seeds, infl[i].octs...)
-			}
-			if jobRange[ci][1] == 0 {
-				jobRange[ci][0] = len(jobs)
-			}
-			jobs = append(jobs, rebalanceJob{rk: f.Local[ci].Leaves[li], seeds: seeds})
-			jobRange[ci][1] = len(jobs)
-		}
-		runParallel(len(jobs), func(i int) {
-			j := &jobs[i]
-			seeds := octant.AppendKeys(make([]octant.Key, 0, len(j.seeds)), j.seeds)
-			linear.SortKeys(seeds)
-			seeds = slices.Compact(seeds)
-			sub := balance.SubtreeNewKeys(j.rk, seeds, k)
-			if len(sub) == 1 && sub[0] == j.rk {
-				return // no split forced; keep the leaf
-			}
-			j.sub = sub
-		})
-		runParallel(len(f.Local), func(i int) {
-			lo, hi := jobRange[i][0], jobRange[i][1]
-			if lo == hi {
-				return
-			}
-			tc := &f.Local[i]
-			tc.Leaves = spliceReplaceKeys(tc.Leaves, jobs[lo:hi])
-		})
-	} else {
-		chunkRange := make([][2]int, len(f.Local))
-		for i := range infl {
-			ci := infl[i].chunk
-			if chunkRange[ci][1] == 0 {
-				chunkRange[ci][0] = i
-			}
-			chunkRange[ci][1] = i + 1
-		}
-		runParallel(len(f.Local), func(i int) {
-			lo, hi := chunkRange[i][0], chunkRange[i][1]
-			if lo == hi {
-				return
-			}
-			tc := &f.Local[i]
-			octs := rebalanceOld(root, tc.Octants(), infl[lo:hi], k)
-			tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
-		})
+	if algo == AlgoNew {
+		f.rebalanceNew(infl, k, par)
+		return
 	}
-	times.Rebalance = ps.end()
+	chunkRange := make([][2]int, len(f.Local))
+	for i := range infl {
+		ci := infl[i].chunk
+		if chunkRange[ci][1] == 0 {
+			chunkRange[ci][0] = i
+		}
+		chunkRange[ci][1] = i + 1
+	}
+	root := octant.Root(f.Conn.dim)
+	par(len(f.Local), func(i int) {
+		lo, hi := chunkRange[i][0], chunkRange[i][1]
+		if lo == hi {
+			return
+		}
+		tc := &f.Local[i]
+		octs := rebalanceOld(root, tc.Octants(), infl[lo:hi], k)
+		tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
+	})
+}
 
-	c.SetPhase("default")
-	f.NumGlobal = c.AllreduceSumInt64(f.NumLocal())
-	return times
+// rebalanceNew is the paper's Local rebalance.  The per-query-octant
+// reconstructions across all local trees form one job list, so the pool
+// stays busy even when the responses concentrate on a single tree; each
+// reconstructed subtree is then spliced into its tree's leaf array (a
+// k-way merge over contiguous leaf segments, itself parallel across
+// trees).  infl must be sorted by issuing leaf.
+func (f *Forest) rebalanceNew(infl []influence, k int, par func(int, func(int))) {
+	var jobs []rebalanceJob
+	jobRange := make([][2]int, len(f.Local))
+	for i := 0; i < len(infl); {
+		ci, li := infl[i].chunk, infl[i].leaf
+		// Every octs slice is freshly decoded or computed, so the first
+		// one can absorb the others.
+		seeds := infl[i].octs
+		for i++; i < len(infl) && infl[i].chunk == ci && infl[i].leaf == li; i++ {
+			seeds = append(seeds, infl[i].octs...)
+		}
+		if jobRange[ci][1] == 0 {
+			jobRange[ci][0] = len(jobs)
+		}
+		jobs = append(jobs, rebalanceJob{rk: f.Local[ci].Leaves[li], seeds: seeds})
+		jobRange[ci][1] = len(jobs)
+	}
+	par(len(jobs), func(i int) {
+		j := &jobs[i]
+		seeds := octant.AppendKeys(make([]octant.Key, 0, len(j.seeds)), j.seeds)
+		linear.SortKeys(seeds)
+		seeds = slices.Compact(seeds)
+		sub := balance.SubtreeNewKeys(j.rk, seeds, k)
+		if len(sub) == 1 && sub[0] == j.rk {
+			return // no split forced; keep the leaf
+		}
+		j.sub = sub
+	})
+	par(len(f.Local), func(i int) {
+		lo, hi := jobRange[i][0], jobRange[i][1]
+		if lo == hi {
+			return
+		}
+		tc := &f.Local[i]
+		tc.Leaves = spliceReplaceKeys(tc.Leaves, jobs[lo:hi])
+	})
 }
 
 // compareQueryRecs is the order of the query records: by receiver, then
@@ -518,10 +523,12 @@ func (f *Forest) influenceOf(q queryRec, octs []octant.Octant) influence {
 	return influence{chunk: q.chunk, leaf: q.leaf, octs: octs}
 }
 
-// localBalanceChunk balances one rank's contiguous leaf range of a tree:
-// the subtree spanned by the range is balanced and the result clipped back
-// to the range (Section III).
-func localBalanceChunk(root octant.Octant, leaves []octant.Octant, k int, algo Algo) []octant.Octant {
+// localBalanceChunk balances one rank's contiguous leaf range of a tree on
+// octant structs: the subtree spanned by the range is balanced and the
+// result clipped back to the range (Section III).  Balance runs it for the
+// old algorithm only; its new-algorithm case is the struct reference the
+// resident-key path (localBalanceChunkKeys) is tested against.
+func localBalanceChunk(leaves []octant.Octant, k int, algo Algo) []octant.Octant {
 	if len(leaves) <= 1 {
 		return leaves
 	}
@@ -600,7 +607,7 @@ type respHit struct {
 // the local partition, as a slice aligned with qs.  The queries arrive
 // sorted by tree (should a tree recur, it just opens another run), so each
 // run of one tree is answered by one simultaneous
-// traversal of that tree's chunk (traverse.SearchBoundary): the chunk's
+// traversal of that tree's chunk (traverse.SearchBoundaryKeys): the chunk's
 // implicit octree is walked against the insulation boxes of the run's
 // queries, so subtrees far from every query region are pruned wholesale.
 // An aligned cube intersects an aligned insulation cell with positive
@@ -609,12 +616,9 @@ type respHit struct {
 // per-query seed computations fan out over the worker pool via par; a
 // stable counting sort regroups the curve-ordered hits by query, and each
 // result lands in the slot of its query index, keeping the output
-// bit-identical at every worker count.  st (may be nil) accumulates
-// traversal work counters.
+// bit-identical at every worker count.  st accumulates traversal work
+// counters.
 func (f *Forest) respondQueries(qs []queryRec, k int, algo Algo, workers int, par func(int, func(int)), st *traverse.Stats) [][]octant.Octant {
-	if st == nil {
-		st = new(traverse.Stats)
-	}
 	results := make([][]octant.Octant, len(qs))
 	rootKey := octant.KeyOf(octant.Root(f.Conn.dim))
 	maxTasks := 1
@@ -644,7 +648,7 @@ func (f *Forest) respondQueries(qs []queryRec, k int, algo Algo, workers int, pa
 			var out []respHit
 			traverse.SearchBoundaryKeys(t.Root, tc.Leaves[t.Lo:t.Hi], boxes, func(li, bi int) {
 				abs := int32(t.Lo + li)
-				if precludedLevel(tc.Leaves[abs].Level(), qs[lo+bi].r) {
+				if precluded(tc.Leaves[abs].Level(), qs[lo+bi].r) {
 					return
 				}
 				out = append(out, respHit{qi: int32(lo + bi), li: abs})
@@ -708,7 +712,7 @@ func (f *Forest) respondQueries(qs []queryRec, k int, algo Algo, workers int, pa
 //
 // w and the insulation grid are packed: the cell fan comes from the batch
 // neighbor kernel (octant.KeyNeighbors into buf, len(dirs) entries), and
-// every cell resolves through the key-native cellOwners — in-root cells on
+// every cell resolves through the packed-key cellOwners — in-root cells on
 // the owner table, cells across the root boundary on the connectivity's
 // neighbor table — without materializing coordinates.
 func (f *Forest) queryPrunable(ot *ownerTable, dirs []octant.Dir, buf []octant.Key, t int32, w octant.Key, me int) bool {
@@ -787,16 +791,22 @@ type leafPeer struct {
 	cell int32
 }
 
-// buildQueries is phase 2 of Balance: every boundary leaf fans out its
-// insulation layer (octant.KeyNeighbors), resolves each cell's tree and
-// owner ranks key-natively (cellOwners), and emits one record per distinct
-// (receiver, neighbor cell) — a query depends only on those and the leaf,
-// not on the direction that found it, so the 3^d-1 directions collapse per
-// leaf before anything is stored.  Same-tree interactions with this rank
-// itself are phase 1's business and emit nothing.  The boundary tasks emit
-// in parallel; the concatenation is sorted once into compareQueryRecs
-// order and returned with the traversal statistics.
-func (f *Forest) buildQueries(me, workers int, par func(int, func(int))) ([]queryRec, traverse.Stats) {
+// buildQueries is phase 2 of Balance, query construction.  A recursive
+// traversal per tree chunk (queryBoundaryLeaves) first narrows the curve
+// down to the leaves whose insulation layer can leave the local partition
+// or cross a tree boundary.  Every surviving boundary leaf then fans out
+// its insulation layer (octant.KeyNeighbors), resolves each cell's tree
+// and owner ranks on packed keys (cellOwners), and emits one record per
+// distinct (receiver, neighbor cell) — a query depends only on those and
+// the leaf, not on the direction that found it, so the 3^d-1 directions
+// collapse per leaf before anything is stored.  Same-tree interactions
+// with this rank itself are phase 1's business and emit nothing.  The
+// boundary tasks emit in parallel; the concatenation is sorted once into
+// compareQueryRecs order, so receiver lists, self queries and provenance
+// are runs and indices of that one slice.  The traversal work and the
+// record count go to c's tracer as balance/query-* counters.
+func (f *Forest) buildQueries(c *comm.Comm, workers int, par func(int, func(int))) []queryRec {
+	me := c.Rank()
 	tasks, st := f.queryBoundaryLeaves(me, workers, par)
 	dirs := octant.Directions(f.Conn.dim, f.Conn.dim)
 	ot := f.ownerTable()
@@ -855,7 +865,12 @@ func (f *Forest) buildQueries(me, workers int, par func(int, func(int))) ([]quer
 		recs = append(recs, rs...)
 	}
 	slices.SortFunc(recs, compareQueryRecs)
-	return recs, st
+	tr := c.Tracer()
+	tr.Add(me, "balance/query-nodes", int64(st.Nodes))
+	tr.Add(me, "balance/query-leaves", int64(st.Leaves))
+	tr.Add(me, "balance/query-pruned", int64(st.Pruned))
+	tr.Add(me, "balance/query-records", int64(len(recs)))
+	return recs
 }
 
 // rebalanceJob is one unit of the paper's Local rebalance: the seeds

@@ -5,16 +5,14 @@ import (
 	"repro/internal/octant"
 )
 
-// This file is the key-resident Local balance path — the default since the
-// chunk representation itself became packed Morton keys.  The whole
+// This file is the Local balance on the resident packed keys: the whole
 // subtree balance — Reduce, neighborhood closure, sort, completion, range
-// clipping — runs on the resident keys with no conversion at either end.
-// BalanceOptions.StructLocal selects the legacy octant-struct pipeline
-// instead, which survives as the differential oracle: the harness checksum
-// sweep and the forest differential tests pin the two bit-identical.
+// clipping — runs on the chunk representation itself with no conversion
+// at either end.
 
-// localBalanceChunkKeys is localBalanceChunk on the resident packed keys,
-// for the paper's new algorithm.
+// localBalanceChunkKeys balances one rank's contiguous leaf range of a
+// tree with the paper's new algorithm: the subtree spanned by the range is
+// balanced and the result clipped back to the range (Section III).
 func localBalanceChunkKeys(leaves []octant.Key, k int) []octant.Key {
 	if len(leaves) <= 1 {
 		return leaves
@@ -39,9 +37,11 @@ func clipToRangeKeys(keys []octant.Key, first, last octant.Key) []octant.Key {
 	return out
 }
 
-// BalanceChunksKeys is BalanceChunks routed through the key-resident Local
-// balance (the paper's new algorithm only).  Exported for the kernel
-// micro-benchmarks; Balance without StructLocal runs the same code path.
+// BalanceChunksKeys applies the per-chunk Local balance (phase 1 of
+// Balance, the paper's new algorithm) to independent leaf ranges with the
+// given worker count; each chunks[i] is replaced by its balanced,
+// range-clipped form.  Exported for the kernel micro-benchmarks; Balance
+// runs the same code path over its local tree chunks.
 func BalanceChunksKeys(chunks [][]octant.Key, k, workers int) {
 	parallelFor(workers, len(chunks), func(i int) {
 		chunks[i] = localBalanceChunkKeys(chunks[i], k)

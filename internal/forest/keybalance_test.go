@@ -5,54 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/octant"
 )
-
-// runSmallBalance executes a small multi-rank balance and returns each
-// rank's final chunks.
-func runSmallBalance(t *testing.T, opt BalanceOptions) [][]TreeChunk {
-	t.Helper()
-	conn := NewBrick(3, 2, 1, 1, [3]bool{})
-	const p = 3
-	out := make([][]TreeChunk, p)
-	w := comm.NewWorld(p)
-	defer w.Close()
-	w.Run(func(c *comm.Comm) {
-		f := NewUniform(conn, c, 1)
-		f.Refine(c, 4, fractalRefine(4))
-		f.Partition(c, nil)
-		f.Balance(c, 3, opt)
-		out[c.Rank()] = f.Local
-	})
-	return out
-}
-
-// TestKeyLocalBalanceBitIdentical pins the default key-resident path to
-// the struct oracle pipeline chunk-for-chunk, serial and pooled.
-func TestKeyLocalBalanceBitIdentical(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		want := runSmallBalance(t, BalanceOptions{Workers: workers, StructLocal: true})
-		got := runSmallBalance(t, BalanceOptions{Workers: workers})
-		for r := range want {
-			if len(got[r]) != len(want[r]) {
-				t.Fatalf("workers %d rank %d: %d chunks vs %d", workers, r, len(got[r]), len(want[r]))
-			}
-			for ci := range want[r] {
-				g, w := got[r][ci], want[r][ci]
-				if g.Tree != w.Tree || len(g.Leaves) != len(w.Leaves) {
-					t.Fatalf("workers %d rank %d chunk %d: shape mismatch", workers, r, ci)
-				}
-				for i := range w.Leaves {
-					if g.Leaves[i] != w.Leaves[i] {
-						t.Fatalf("workers %d rank %d chunk %d leaf %d: %v != %v",
-							workers, r, ci, i, g.Leaves[i], w.Leaves[i])
-					}
-				}
-			}
-		}
-	}
-}
 
 // randomChunks builds contiguous sorted leaf ranges by walking a refined
 // tree, mirroring what Balance hands to the Local phase.
@@ -83,6 +37,9 @@ func randomChunks(rng *rand.Rand, dim, depth, chunks int) [][]octant.Octant {
 	return out
 }
 
+// TestBalanceChunksKeysMatchesStruct pins the resident-key Local balance,
+// fanned over the worker pool, to the struct reference localBalanceChunk
+// chunk for chunk.
 func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{2, 3} {
@@ -91,8 +48,8 @@ func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
 			b := make([][]octant.Key, len(a))
 			for i := range a {
 				b[i] = octant.AppendKeys(nil, a[i])
+				a[i] = localBalanceChunk(a[i], dim, AlgoNew)
 			}
-			BalanceChunks(a, dim, AlgoNew, 4)
 			BalanceChunksKeys(b, dim, 4)
 			for i := range a {
 				if len(a[i]) != len(b[i]) {

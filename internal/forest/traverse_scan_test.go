@@ -221,7 +221,7 @@ func TestQueryBoundaryLeavesComplete(t *testing.T) {
 	}
 }
 
-// TestQueryRecordsMatchClassical checks the key-native, per-leaf
+// TestQueryRecordsMatchClassical checks the packed-key, per-leaf
 // deduplicated query records equal the classical enumeration element for
 // element: per receiver the same queries in the same (wire) order — which
 // pins the query payload bytes — the same self queries, and the same
@@ -240,7 +240,7 @@ func TestQueryRecordsMatchClassical(t *testing.T) {
 				remote, self := classicalQueries(f, me)
 				for _, workers := range []int{1, 3} {
 					par := func(n int, task func(int)) { parallelFor(workers, n, task) }
-					recs, _ := f.buildQueries(me, workers, par)
+					recs := f.buildQueries(c, workers, par)
 					got := make(map[int][]classicalQuery)
 					for _, q := range recs {
 						tc := &f.Local[q.chunk]

@@ -5,9 +5,9 @@
 //
 // The benchmarks live in regular (non-test) code so that cmd/bench can run
 // them with testing.Benchmark and fold the ns/op into the BENCH_*.json
-// record, including the chunked local-balance pipeline kernel behind the
-// allocation-regression CI gate; kernels_test.go additionally registers them as ordinary Go
-// benchmarks for `go test -bench`.
+// record, including the chunked local-balance pipeline kernels behind the
+// allocation-regression CI gate; kernels_test.go additionally registers
+// them as ordinary Go benchmarks for `go test -bench`.
 package kernels
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/linear"
 	"repro/internal/octant"
-	"repro/internal/traverse"
 )
 
 // Kernel is one named micro-benchmark.
@@ -37,12 +36,9 @@ func List() []Kernel {
 		{"Seeds", benchSeeds},
 		{"SubtreeBalanceNew", benchSubtreeNew},
 		{"SubtreeBalanceOld", benchSubtreeOld},
-		{"LocalBalanceSerial", benchLocalBalance(1)},
-		{"LocalBalancePar4", benchLocalBalance(4)},
 		{"WireEncodeV0", benchWireEncode(forest.WireV0)},
 		{"WireEncodeV1", benchWireEncode(forest.WireV1)},
 		{"WireDecodeV1", benchWireDecode(forest.WireV1)},
-		{"TraverseSearch", benchTraverseSearch},
 		{"GhostBuild", benchGhostBuild},
 		{"MortonKeyEncode", benchMortonKeyEncode},
 		{"MortonKeyDecode", benchMortonKeyDecode},
@@ -58,8 +54,6 @@ func List() []Kernel {
 		{"TraverseSearchKeys", benchTraverseSearchKeys},
 		{"WireEncodeKeysV1", benchWireEncodeKeys(forest.WireV1)},
 		{"WireDecodeKeysV1", benchWireDecodeKeys(forest.WireV1)},
-		{"KeyCompareScalar", benchKeyCompareScalar},
-		{"KeyBatchCompare4", benchKeyBatchCompare4},
 		{"KeyBatchLowerBound", benchKeyBatchLowerBound},
 		{"NeighborsOctants", benchNeighborsOctants},
 		{"KeyBatchNeighbors", benchKeyBatchNeighbors},
@@ -205,54 +199,6 @@ func benchSubtreeOld(b *testing.B) {
 	}
 }
 
-// Local-balance pipeline kernel: phase 1 of forest.Balance applied to many
-// independent leaf ranges, exactly the per-chunk work the rank-local worker
-// pool distributes.  A deeper canned fractal is cut into contiguous curve
-// ranges so one iteration mirrors a rank that owns localBalChunks tree
-// chunks.  The serial and 4-worker variants share inputs, so the pair
-// measures both pool overhead and — on multi-core hosts — speedup, while
-// allocs/op stays deterministic for the CI regression gate.
-const (
-	localBalChunks = 32
-	localBalLevel  = 6
-)
-
-// localBalanceInput builds the chunked leaf ranges the LocalBalance kernels
-// consume.  The ranges partition the sorted leaf array, so each is a valid
-// ascending curve segment of the tree.
-func localBalanceInput() [][]octant.Octant {
-	leaves := CannedLeaves(cannedDim, localBalLevel)
-	chunks := make([][]octant.Octant, 0, localBalChunks)
-	per := (len(leaves) + localBalChunks - 1) / localBalChunks
-	for lo := 0; lo < len(leaves); lo += per {
-		hi := lo + per
-		if hi > len(leaves) {
-			hi = len(leaves)
-		}
-		chunks = append(chunks, leaves[lo:hi])
-	}
-	return chunks
-}
-
-func benchLocalBalance(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		src := localBalanceInput()
-		// Reusable work buffers: the copy-in below never allocates, so
-		// allocs/op is the balance path itself, not benchmark plumbing.
-		work := make([][]octant.Octant, len(src))
-		for j := range src {
-			work[j] = make([]octant.Octant, 0, 2*len(src[j])+16)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range src {
-				work[j] = append(work[j][:0], src[j]...)
-			}
-			forest.BalanceChunks(work, cannedK, forest.AlgoNew, workers)
-		}
-	}
-}
-
 // Wire-codec kernels: encode/decode the canned chunk as one octant list,
 // the unit of work the balance query/response and partition payloads are
 // made of.  The encode buffer is reused across iterations so allocs/op
@@ -286,27 +232,6 @@ func benchWireDecode(codec forest.WireCodec) func(b *testing.B) {
 		}
 		perOp(b, len(leaves))
 	}
-}
-
-// benchTraverseSearch measures the recursive traversal engine itself: a
-// full Search over the canned chunk with a never-pruning callback, so ns/op
-// is the per-leaf cost of the implicit-octree descent (window splitting via
-// lower-bound searches plus the callback dispatch) with zero useful work in
-// the visitor.
-func benchTraverseSearch(b *testing.B) {
-	leaves := canned()
-	root := octant.Root(cannedDim)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		var st traverse.Stats
-		traverse.Search(root, leaves, func(w octant.Octant, lo, hi int, isLeaf bool) bool {
-			return true
-		}, &st)
-		sink += st.Leaves
-	}
-	_ = sink
-	perOp(b, len(leaves))
 }
 
 // ghostScanInput builds the synthetic two-rank forest the GhostBuild kernel

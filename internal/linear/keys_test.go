@@ -106,8 +106,12 @@ func TestKeysMirrorDifferential(t *testing.T) {
 				if glo != wlo || ghi != whi {
 					t.Fatalf("dim %d: OverlapRangeKeys(%v) = [%d,%d), want [%d,%d)", dim, q, glo, ghi, wlo, whi)
 				}
+				// Brute force: the descendants-or-equal of q in a sorted
+				// linear array form one run starting at q's lower bound.
 				glo, ghi = DescendantRangeKeys(keys, kq)
-				wlo, whi = DescendantRange(leaves, q)
+				wlo = LowerBound(leaves, q)
+				for whi = wlo; whi < len(leaves) && q.IsAncestorOrEqual(leaves[whi]); whi++ {
+				}
 				if glo != wlo || ghi != whi {
 					t.Fatalf("dim %d: DescendantRangeKeys(%v) = [%d,%d), want [%d,%d)", dim, q, glo, ghi, wlo, whi)
 				}

@@ -131,26 +131,6 @@ func OverlapRange(octs []octant.Octant, q octant.Octant) (lo, hi int) {
 	return lo, hi
 }
 
-// DescendantRange returns the half-open index range [lo, hi) of the elements
-// of the sorted array octs that are descendants-or-equal of q.  Unlike
-// OverlapRange it never widens the result to an ancestor of q, which makes
-// it the windowing primitive of the recursive traversal engine
-// (internal/traverse): the leaf window of a virtual tree node is exactly the
-// descendant range of that node's octant.
-func DescendantRange(octs []octant.Octant, q octant.Octant) (lo, hi int) {
-	lo = LowerBound(octs, q)
-	last := q.LastDescendant(octant.MaxLevel)
-	pos, found := slices.BinarySearchFunc(octs, last, octant.Compare)
-	hi = pos
-	if found {
-		hi++
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
 // Complete fills the gaps of the sorted linear array octs with the coarsest
 // possible octants so that the result is a complete linear octree of root.
 // Every element of octs must be a descendant-or-equal of root.  This is the

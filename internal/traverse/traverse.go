@@ -4,13 +4,16 @@
 // Forests of Octrees" (2014) and Holke, Knapp & Burstedde, "An Optimized,
 // Parallel Computation of the Ghost Layer" (2019).
 //
-// A sorted linear leaf array implicitly encodes the full octree: the
-// subtree below any octant w corresponds to the contiguous window of leaves
-// that are descendants-or-equal of w (linear.DescendantRange).  Descending
-// that implicit tree and windowing the slice per virtual node lets a caller
-// prune whole subtrees with one test instead of inspecting every leaf —
-// which turns the per-element neighbor searches of ghost construction and
-// balance query matching into boundary-proportional work.
+// A sorted linear array of packed Morton keys implicitly encodes the full
+// octree: the subtree below any octant w corresponds to the contiguous
+// window of leaves that are descendants-or-equal of w
+// (linear.DescendantRangeKeys).  Descending that implicit tree and
+// windowing the slice per virtual node lets a caller prune whole subtrees
+// with one test instead of inspecting every leaf — which turns the
+// per-element neighbor searches of ghost construction and balance query
+// matching into boundary-proportional work.  Window splitting uses the
+// integer-compare lower bound (linear.LowerBoundKeysBatch), so descending a
+// node costs a handful of 128-bit compares.
 package traverse
 
 import (
@@ -45,86 +48,12 @@ func (s *Stats) Merge(t Stats) {
 // traversal touched.
 func (s Stats) Visited() int { return s.Nodes + s.Leaves }
 
-// Visit is the node callback of Search.  w is the current node of the
-// implicit octree and leaves[lo:hi] (of the slice given to Search) is the
-// window of stored leaves inside w; the window is never empty.  isLeaf
-// reports that w itself is a stored leaf (then hi == lo+1 and
-// leaves[lo] == w).  Returning false prunes the subtree: none of the
-// window's leaves are visited.  The return value of a leaf call is ignored.
-type Visit func(w octant.Octant, lo, hi int, isLeaf bool) bool
-
-// Search descends the implicit octree of the sorted linear array leaves
-// below root, invoking visit on every node it does not prune.  Empty
-// subtrees (no stored leaf in the window) are skipped without a callback.
-// Leaves outside root are ignored.  st may be nil.
-func Search(root octant.Octant, leaves []octant.Octant, visit Visit, st *Stats) {
-	if st == nil {
-		st = new(Stats)
-	}
-	lo, hi := linear.DescendantRange(leaves, root)
-	if lo >= hi {
-		return
-	}
-	searchNode(root, leaves, lo, hi, visit, st)
-}
-
-// searchNode handles one node with a non-empty window leaves[lo:hi].
-func searchNode(w octant.Octant, leaves []octant.Octant, lo, hi int, visit Visit, st *Stats) {
-	if hi-lo == 1 && leaves[lo] == w {
-		st.Leaves++
-		visit(w, lo, hi, true)
-		return
-	}
-	st.Nodes++
-	if !visit(w, lo, hi, false) {
-		st.Pruned++
-		return
-	}
-	descend(w, leaves, lo, hi, func(c octant.Octant, clo, chi int) {
-		searchNode(c, leaves, clo, chi, visit, st)
-	})
-}
-
-// descend splits the window leaves[lo:hi] of node w among w's children and
-// invokes fn for each child with a non-empty window.  All elements of the
-// window must be strict descendants of w (the caller has ruled out the
-// leaf-equal case), so the child windows partition [lo, hi).
-func descend(w octant.Octant, leaves []octant.Octant, lo, hi int, fn func(c octant.Octant, clo, chi int)) {
-	n := octant.NumChildren(int(w.Dim))
-	clo := lo
-	for ci := 0; ci < n; ci++ {
-		c := w.Child(ci)
-		chi := hi
-		if ci+1 < n {
-			// Descendants of child ci all precede child ci+1 on the curve
-			// (ancestors-first Morton order), so the window boundary is a
-			// single lower-bound search within the parent window.
-			chi = clo + linear.LowerBound(leaves[clo:hi], w.Child(ci+1))
-		}
-		if chi > clo {
-			fn(c, clo, chi)
-		}
-		clo = chi
-	}
-}
-
 // Box is an axis-aligned box on the octant lattice with half-open per-axis
 // extents [Lo, Hi).  Extents are int64 so boxes around out-of-root octants
 // (which arise for every cross-tree query region) cannot overflow.  Axes
 // beyond the octant dimension are ignored by the intersection tests.
 type Box struct {
 	Lo, Hi [3]int64
-}
-
-// OctantBox returns the box covering exactly o's cube.
-func OctantBox(o octant.Octant) Box {
-	var b Box
-	h := int64(o.Len())
-	for i := 0; i < int(o.Dim); i++ {
-		c := int64(o.Coord(i))
-		b.Lo[i], b.Hi[i] = c, c+h
-	}
-	return b
 }
 
 // InsulationBox returns the box of o's insulation layer I(o): o grown by
@@ -154,44 +83,142 @@ func (b Box) IntersectsOctant(o octant.Octant) bool {
 	return true
 }
 
-// Match is the leaf callback of SearchBoundary: leaf index li (into the
-// slice given to the traversal) intersects box qi.
+// Match is the leaf callback of SearchBoundaryKeys: leaf index li (into
+// the slice given to the traversal) intersects box qi.
 type Match func(li, qi int)
 
-// Hooks optionally observes traversal-internal events; a nil *Hooks or nil
-// field disables the corresponding hook.
-type Hooks struct {
-	// OnPrune fires when a subtree with the non-empty leaf window
-	// leaves[lo:hi] is skipped because no query box intersects its octant.
-	// The metamorphic test suite uses it to prove prunes are never wrong.
-	OnPrune func(w octant.Octant, lo, hi int)
-}
+// VisitKeys is the node callback of SearchKeys.  w is the current node of
+// the implicit octree and leaves[lo:hi] (of the slice given to SearchKeys)
+// is the window of stored leaves inside w; the window is never empty.
+// isLeaf reports that w itself is a stored leaf (then hi == lo+1 and
+// leaves[lo] == w).  Returning false prunes the subtree: none of the
+// window's leaves are visited.  The return value of a leaf call is ignored.
+type VisitKeys func(w octant.Key, lo, hi int, isLeaf bool) bool
 
-// SearchBoundary simultaneously walks the implicit octree of leaves and a
-// set of query boxes: a subtree is descended only while at least one box
-// intersects its octant, so subtrees provably far from every query region
-// — in the balance and ghost use, far from any partition boundary — are
-// pruned wholesale instead of being tested leaf by leaf.  match is invoked
-// for every (stored leaf, box) pair that intersects, in curve order of the
-// leaves and ascending box order per leaf, which makes the call sequence
-// deterministic.  st may be nil.
-func SearchBoundary(root octant.Octant, leaves []octant.Octant, boxes []Box, match Match, st *Stats) {
-	SearchBoundaryHooks(root, leaves, boxes, match, st, nil)
-}
-
-// SearchBoundaryHooks is SearchBoundary with observation hooks.
-func SearchBoundaryHooks(root octant.Octant, leaves []octant.Octant, boxes []Box, match Match, st *Stats, hooks *Hooks) {
+// SearchKeys descends the implicit octree of the sorted key array leaves
+// below root, invoking visit on every node it does not prune.  Empty
+// subtrees (no stored leaf in the window) are skipped without a callback.
+// Leaves outside root are ignored.  st may be nil.
+func SearchKeys(root octant.Key, leaves []octant.Key, visit VisitKeys, st *Stats) {
 	if st == nil {
 		st = new(Stats)
 	}
-	lo, hi := linear.DescendantRange(leaves, root)
+	lo, hi := linear.DescendantRangeKeys(leaves, root)
+	if lo >= hi {
+		return
+	}
+	searchNodeKeys(root, leaves, lo, hi, visit, st)
+}
+
+// searchNodeKeys handles one node with a non-empty window leaves[lo:hi].
+func searchNodeKeys(w octant.Key, leaves []octant.Key, lo, hi int, visit VisitKeys, st *Stats) {
+	if hi-lo == 1 && leaves[lo] == w {
+		st.Leaves++
+		visit(w, lo, hi, true)
+		return
+	}
+	st.Nodes++
+	if !visit(w, lo, hi, false) {
+		st.Pruned++
+		return
+	}
+	descendKeys(w, leaves, lo, hi, func(c octant.Key, clo, chi int) {
+		searchNodeKeys(c, leaves, clo, chi, visit, st)
+	})
+}
+
+// descendKeys splits the window leaves[lo:hi] of node w among w's children
+// and invokes fn for each child with a non-empty window.  All elements of
+// the window must be strict descendants of w (the caller has ruled out the
+// leaf-equal case), so the child windows partition [lo, hi).
+// The child fan is materialized once (octant.KeyChildren) and the window
+// boundaries come from one batched lower-bound pass whose searches shrink
+// left to right (descendants of child ci precede child ci+1 on the
+// ancestors-first curve), so splitting a node costs a handful of two-word
+// compares with no comparator closures.
+func descendKeys(w octant.Key, leaves []octant.Key, lo, hi int, fn func(c octant.Key, clo, chi int)) {
+	var kids [8]octant.Key
+	n := octant.KeyChildren(w, &kids)
+	var bounds [8]int
+	linear.LowerBoundKeysBatch(leaves[lo:hi], kids[1:n], bounds[1:n])
+	bounds[0] = 0
+	clo := lo
+	for ci := 0; ci < n; ci++ {
+		chi := hi
+		if ci+1 < n {
+			chi = lo + bounds[ci+1]
+		}
+		if chi > clo {
+			fn(kids[ci], clo, chi)
+		}
+		clo = chi
+	}
+}
+
+// SplitTasksKeys splits the implicit octree below root into independent
+// subtree windows suitable for fanning one traversal over a worker pool:
+// it descends — without invoking any callback — until tasks hold at most
+// ceil(n/maxTasks) leaves each or cannot be split further, and returns
+// them in curve order.  maxTasks < 2 (or an empty window) yields at most
+// one task covering everything.  Descending past a node the serial
+// traversal would have pruned only costs the workers a cheap re-test at
+// each task root; it never changes what a sound prune-callback lets
+// through, so callers get identical output at every task count.
+func SplitTasksKeys(root octant.Key, leaves []octant.Key, maxTasks int) []TaskKeys {
+	lo, hi := linear.DescendantRangeKeys(leaves, root)
+	if lo >= hi {
+		return nil
+	}
+	if maxTasks < 2 {
+		return []TaskKeys{{Root: root, Lo: lo, Hi: hi}}
+	}
+	per := (hi - lo + maxTasks - 1) / maxTasks
+	if per < 1 {
+		per = 1
+	}
+	var out []TaskKeys
+	var split func(w octant.Key, lo, hi int)
+	split = func(w octant.Key, lo, hi int) {
+		if hi-lo <= per || (hi-lo == 1 && leaves[lo] == w) {
+			out = append(out, TaskKeys{Root: w, Lo: lo, Hi: hi})
+			return
+		}
+		descendKeys(w, leaves, lo, hi, func(c octant.Key, clo, chi int) {
+			split(c, clo, chi)
+		})
+	}
+	split(root, lo, hi)
+	return out
+}
+
+// TaskKeys is one disjoint subtree of a traversal frontier: the window
+// leaves[Lo:Hi) below Root.  Tasks of one SplitTasksKeys call partition
+// the root's leaf window in curve order.
+type TaskKeys struct {
+	Root   octant.Key
+	Lo, Hi int
+}
+
+// SearchBoundaryKeys simultaneously walks the implicit octree of the
+// sorted key array leaves and a set of query boxes: a subtree is descended
+// only while at least one box intersects its octant, so subtrees provably
+// far from every query region — in the balance and ghost use, far from any
+// partition boundary — are pruned wholesale instead of being tested leaf
+// by leaf.  match is invoked for every (stored leaf, box) pair that
+// intersects, in curve order of the leaves and ascending box order per
+// leaf, which makes the call sequence deterministic.  Each visited node is
+// unpacked once for the box-intersection filter — pruning keeps that set
+// small — while windows, descent and leaf identity stay on two-word key
+// compares.  st may be nil.
+func SearchBoundaryKeys(root octant.Key, leaves []octant.Key, boxes []Box, match Match, st *Stats) {
+	if st == nil {
+		st = new(Stats)
+	}
+	lo, hi := linear.DescendantRangeKeys(leaves, root)
 	if lo >= hi || len(boxes) == 0 {
 		return
 	}
-	d := &dual{leaves: leaves, boxes: boxes, match: match, st: st}
-	if hooks != nil {
-		d.onPrune = hooks.OnPrune
-	}
+	d := &dualKeys{leaves: leaves, boxes: boxes, match: match, st: st}
 	d.active = make([]int32, len(boxes), 2*len(boxes)+16)
 	for i := range d.active {
 		d.active[i] = int32(i)
@@ -199,36 +226,33 @@ func SearchBoundaryHooks(root octant.Octant, leaves []octant.Octant, boxes []Box
 	d.walk(root, lo, hi, 0, len(d.active))
 }
 
-// dual carries the state of one simultaneous traversal.  The active-box
-// index sets of the recursion live stacked in one shared slice, so the
-// whole walk performs no per-node allocation beyond occasional stack
-// growth.
-type dual struct {
-	leaves  []octant.Octant
-	boxes   []Box
-	active  []int32 // stack of active box index frames
-	match   Match
-	onPrune func(w octant.Octant, lo, hi int)
-	st      *Stats
+// dualKeys carries the state of one simultaneous traversal.  The
+// active-box index sets of the recursion live stacked in one shared slice,
+// so the whole walk performs no per-node allocation beyond occasional
+// stack growth.
+type dualKeys struct {
+	leaves []octant.Key
+	boxes  []Box
+	active []int32
+	match  Match
+	st     *Stats
 }
 
 // walk handles node w with leaf window [lo, hi) and the active box indices
 // active[alo:ahi] (those that intersected w's parent).
-func (d *dual) walk(w octant.Octant, lo, hi, alo, ahi int) {
+func (d *dualKeys) walk(w octant.Key, lo, hi, alo, ahi int) {
 	// Filter the parent's active set down to the boxes intersecting w,
 	// pushing a new frame on the shared stack.
 	n0 := len(d.active)
+	wo := w.Octant()
 	for _, qi := range d.active[alo:ahi] {
-		if d.boxes[qi].IntersectsOctant(w) {
+		if d.boxes[qi].IntersectsOctant(wo) {
 			d.active = append(d.active, qi)
 		}
 	}
 	n1 := len(d.active)
 	if n1 == n0 {
 		d.st.Pruned++
-		if d.onPrune != nil {
-			d.onPrune(w, lo, hi)
-		}
 		d.active = d.active[:n0]
 		return
 	}
@@ -241,52 +265,8 @@ func (d *dual) walk(w octant.Octant, lo, hi, alo, ahi int) {
 		return
 	}
 	d.st.Nodes++
-	descend(w, d.leaves, lo, hi, func(c octant.Octant, clo, chi int) {
+	descendKeys(w, d.leaves, lo, hi, func(c octant.Key, clo, chi int) {
 		d.walk(c, clo, chi, n0, n1)
 	})
 	d.active = d.active[:n0]
-}
-
-// Task is one disjoint subtree of a traversal frontier: the window
-// leaves[Lo:Hi) below Root.  Tasks of one SplitTasks call partition the
-// root's leaf window in curve order.
-type Task struct {
-	Root   octant.Octant
-	Lo, Hi int
-}
-
-// SplitTasks splits the implicit octree below root into independent subtree
-// windows suitable for fanning one traversal over a worker pool: it
-// descends — without invoking any callback — until tasks hold at most
-// ceil(n/maxTasks) leaves each or cannot be split further, and returns them
-// in curve order.  maxTasks < 2 (or an empty window) yields at most one
-// task covering everything.  Descending past a node the serial traversal
-// would have pruned only costs the workers a cheap re-test at each task
-// root; it never changes what a sound prune-callback lets through, so
-// callers get identical output at every task count.
-func SplitTasks(root octant.Octant, leaves []octant.Octant, maxTasks int) []Task {
-	lo, hi := linear.DescendantRange(leaves, root)
-	if lo >= hi {
-		return nil
-	}
-	if maxTasks < 2 {
-		return []Task{{Root: root, Lo: lo, Hi: hi}}
-	}
-	per := (hi - lo + maxTasks - 1) / maxTasks
-	if per < 1 {
-		per = 1
-	}
-	var out []Task
-	var split func(w octant.Octant, lo, hi int)
-	split = func(w octant.Octant, lo, hi int) {
-		if hi-lo <= per || (hi-lo == 1 && leaves[lo] == w) {
-			out = append(out, Task{Root: w, Lo: lo, Hi: hi})
-			return
-		}
-		descend(w, leaves, lo, hi, func(c octant.Octant, clo, chi int) {
-			split(c, clo, chi)
-		})
-	}
-	split(root, lo, hi)
-	return out
 }
