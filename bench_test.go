@@ -27,14 +27,16 @@ func benchWorkload(dim int) []Octant {
 
 // BenchmarkFig6SubtreeOld measures the old subtree balance algorithm
 // (Figure 6) on a graded mesh, the baseline of the Local balance phase.
+// Both subtree benchmarks run on the same pre-packed keys, so their ratio
+// compares the algorithms, not the leaf representation.
 func BenchmarkFig6SubtreeOld(b *testing.B) {
 	for _, dim := range []int{2, 3} {
-		in := benchWorkload(dim)
-		root := octant.Root(dim)
+		in := octant.AppendKeys(nil, benchWorkload(dim))
+		root := octant.KeyOf(octant.Root(dim))
 		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				balance.SubtreeOld(root, in, dim)
+				balance.SubtreeOldKeys(root, in, nil, dim)
 			}
 		})
 	}
@@ -45,12 +47,12 @@ func BenchmarkFig6SubtreeOld(b *testing.B) {
 // Local balance improvement of Figure 15b.
 func BenchmarkFig7SubtreeNew(b *testing.B) {
 	for _, dim := range []int{2, 3} {
-		in := benchWorkload(dim)
-		root := octant.Root(dim)
+		in := octant.AppendKeys(nil, benchWorkload(dim))
+		root := octant.KeyOf(octant.Root(dim))
 		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				balance.SubtreeNew(root, in, dim)
+				balance.SubtreeNewKeys(root, in, dim)
 			}
 		})
 	}
@@ -447,29 +449,34 @@ func BenchmarkBuildNodes(b *testing.B) {
 	}
 }
 
-// BenchmarkBalanceAblation isolates the contribution of each new component
-// (DESIGN.md §5): the paper attributes roughly half the speedup to the new
-// Local balance + Query/Response and the rest to the new Local rebalance.
+// BenchmarkBalanceAblation splits the old/new speedup by phase
+// (DESIGN.md §5): both algorithms produce the identical forest, so the
+// per-phase times of the two runs give each stage's share.  Each phase is
+// reported as its maximum over ranks, in seconds per balance.
 func BenchmarkBalanceAblation(b *testing.B) {
 	conn := FractalForest(2)
-	cfgs := []struct {
-		name          string
-		local, remote StageOverride
-	}{
-		{"all-old", StageOld, StageOld},
-		{"new-local-only", StageNew, StageOld},
-		{"new-remote-only", StageOld, StageNew},
-		{"all-new", StageNew, StageNew},
-	}
-	for _, cfg := range cfgs {
-		b.Run(cfg.name, func(b *testing.B) {
-			benchBalance(b, Experiment{
-				Conn: conn, Ranks: 6, BaseLevel: 3, MaxLevel: 7,
-				Refine: FractalRefine(7),
-				Options: BalanceOptions{
-					LocalStage: cfg.local, RemoteStage: cfg.remote,
-				},
-			})
+	for _, algo := range []Algo{AlgoOld, AlgoNew} {
+		b.Run(algo.String(), func(b *testing.B) {
+			var sum PhaseTimes
+			for i := 0; i < b.N; i++ {
+				res := Experiment{
+					Conn: conn, Ranks: 6, BaseLevel: 3, MaxLevel: 7,
+					Refine:  FractalRefine(7),
+					Options: BalanceOptions{Algo: algo},
+				}.Run()
+				sum.LocalBalance += res.MaxPhases.LocalBalance
+				sum.Notify += res.MaxPhases.Notify
+				sum.QueryResponse += res.MaxPhases.QueryResponse
+				sum.Rebalance += res.MaxPhases.Rebalance
+				for _, st := range res.Comm {
+					assertQueueBounds(b, st.MaxQueueDepth)
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(sum.LocalBalance.Seconds()/n, "local-s/op")
+			b.ReportMetric(sum.Notify.Seconds()/n, "notify-s/op")
+			b.ReportMetric(sum.QueryResponse.Seconds()/n, "query-response-s/op")
+			b.ReportMetric(sum.Rebalance.Seconds()/n, "rebalance-s/op")
 		})
 	}
 }

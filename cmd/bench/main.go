@@ -49,7 +49,6 @@ func main() {
 		netKernF   = flag.Bool("net-kernels", false, "also run the socket-transport loopback kernels (Net*)")
 		workersF   = flag.Int("workers", 0, "rank-local worker pool size; > 1 records a serial AND a parallel run per algorithm")
 		codecF     = flag.String("codec", "v0", "wire codec: v0, v1, both (both records a run per codec)")
-		poolF      = flag.Bool("pool", true, "recycle payload buffers through the comm pool")
 		validateF  = flag.String("validate", "", "validate an existing record and exit")
 		baselineF  = flag.String("baseline", "", "with -validate: baseline record; fail if gated kernel allocs/op regressed")
 		gatePrefix = flag.String("gate-prefix", "LocalBalance", "with -baseline: kernel name prefix the alloc gate compares")
@@ -98,7 +97,6 @@ func main() {
 		}
 		codecs = []octbalance.WireCodec{codec}
 	}
-	octbalance.SetCommPooling(*poolF)
 
 	var scheme octbalance.NotifyScheme
 	switch *notifyF {

@@ -414,10 +414,10 @@ func TestCarry3Identities(t *testing.T) {
 func TestLambdaTableII(t *testing.T) {
 	const h = 1 << 10
 	cases := []struct {
-		name      string
-		dim, k    int
-		dbar      [3]int64
-		want      int64
+		name   string
+		dim, k int
+		dbar   [3]int64
+		want   int64
 	}{
 		// δ̄ = 0: o and r in contact through their parents; λ = 0 means a
 		// keeps o's own size regardless of dim and k.
@@ -438,13 +438,13 @@ func TestLambdaTableII(t *testing.T) {
 		// conditions add or carry.
 		{"edge-2d-k1", 2, 1, [3]int64{3 * h, 4 * h, 0}, 7 * h},
 		{"edge-2d-k2", 2, 2, [3]int64{3 * h, 4 * h, 0}, 4 * h},
-		{"edge-3d-k1", 3, 1, [3]int64{3 * h, 4 * h, 0}, 7 * h},     // cross-section = 2D k=1
-		{"edge-3d-k2", 3, 2, [3]int64{3 * h, 4 * h, 0}, 4 * h},     // Carry3(3h,4h,0) = max
+		{"edge-3d-k1", 3, 1, [3]int64{3 * h, 4 * h, 0}, 7 * h}, // cross-section = 2D k=1
+		{"edge-3d-k2", 3, 2, [3]int64{3 * h, 4 * h, 0}, 4 * h}, // Carry3(3h,4h,0) = max
 		{"edge-3d-k3", 3, 3, [3]int64{3 * h, 4 * h, 0}, 4 * h},
 
 		// Codimension 3 (corner, 3D only).
-		{"corner-3d-k1", 3, 1, [3]int64{h, h, h}, 4 * h},           // Carry3(2h,2h,2h) = 4h
-		{"corner-3d-k2", 3, 2, [3]int64{h, h, h}, 2 * h},           // Carry3(h,h,h) = 2h
+		{"corner-3d-k1", 3, 1, [3]int64{h, h, h}, 4 * h}, // Carry3(2h,2h,2h) = 4h
+		{"corner-3d-k2", 3, 2, [3]int64{h, h, h}, 2 * h}, // Carry3(h,h,h) = 2h
 		{"corner-3d-k3", 3, 3, [3]int64{h, h, h}, h},
 		{"corner-3d-k1-mixed", 3, 1, [3]int64{h, 2 * h, 4 * h}, 7 * h}, // Carry3(6h,5h,3h): sum-term 14h-7h wins
 		{"corner-3d-k2-mixed", 3, 2, [3]int64{h, 2 * h, 4 * h}, 4 * h}, // disjoint bits: max

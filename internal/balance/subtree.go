@@ -47,76 +47,10 @@ func SubtreeOldExtended(root octant.Octant, S, outside []octant.Octant, k int) [
 }
 
 // SubtreeOldExtendedStats is SubtreeOldExtended with operation counts.
+// It packs its inputs, runs SubtreeOldKeys and unpacks the result.
 func SubtreeOldExtendedStats(root octant.Octant, S, outside []octant.Octant, k int) ([]octant.Octant, Stats) {
-	var st Stats
-	if len(S) == 0 && len(outside) == 0 {
-		return []octant.Octant{root}, st
-	}
-	if len(S) == 1 && S[0] == root && len(outside) == 0 {
-		return []octant.Octant{root}, st
-	}
-	snew := make(map[octant.Octant]struct{}) // new octants inside root
-	saux := make(map[octant.Octant]struct{}) // auxiliary octants outside root
-	work := make([]octant.Octant, 0, len(S)+len(outside))
-	work = append(work, S...)
-	work = append(work, outside...)
-
-	// consider inserts an in-root octant; considerAux additionally tracks
-	// auxiliary octants outside the root.  Auxiliary octants are spawned
-	// only while processing out-of-root octants: they bridge the gap from
-	// each outside input toward the subtree, and once the ripple enters
-	// the root it proceeds with in-root octants only (additions of in-root
-	// octants that would fall outside the root carry no information for
-	// the subtree).
-	consider := func(s octant.Octant, aux bool) {
-		st.HashQueries++
-		if root.IsAncestor(s) {
-			if _, ok := snew[s]; ok {
-				return
-			}
-			st.BinarySearch++
-			if linear.Contains(S, s) {
-				return
-			}
-			snew[s] = struct{}{}
-			work = append(work, s)
-			return
-		}
-		if !aux {
-			return
-		}
-		if _, ok := saux[s]; ok {
-			return
-		}
-		saux[s] = struct{}{}
-		work = append(work, s)
-	}
-
-	for len(work) > 0 {
-		o := work[len(work)-1]
-		work = work[:len(work)-1]
-		if o.Level <= root.Level {
-			continue
-		}
-		aux := !root.IsAncestor(o)
-		for _, s := range o.Family() {
-			consider(s, aux)
-		}
-		if o.Level >= root.Level+2 {
-			for _, s := range o.CoarseNeighborhood(k) {
-				consider(s, aux)
-			}
-		}
-	}
-
-	all := make([]octant.Octant, 0, len(S)+len(snew))
-	all = append(all, S...)
-	for s := range snew {
-		all = append(all, s)
-	}
-	st.SortedOctants = len(all)
-	linear.Sort(all)
-	return linear.Complete(root, linear.Linearize(all)), st
+	out, st := SubtreeOldKeys(octant.KeyOf(root), octant.AppendKeys(nil, S), octant.AppendKeys(nil, outside), k)
+	return octant.AppendOctants(make([]octant.Octant, 0, len(out)), out), st
 }
 
 // SubtreeNew is the new subtree balance algorithm (Figure 7): the input is

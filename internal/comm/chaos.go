@@ -57,11 +57,11 @@ func DefaultChaosConfig(seed uint64) ChaosConfig {
 // ChaosCounts reports what the injector actually did, for test assertions
 // and sweep logs.
 type ChaosCounts struct {
-	Sent      int64 // packets submitted
-	Dropped   int64
+	Sent       int64 // packets submitted
+	Dropped    int64
 	Duplicated int64
-	Delayed   int64
-	Stalled   int64 // packets held by a rank stall window
+	Delayed    int64
+	Stalled    int64 // packets held by a rank stall window
 }
 
 // ChaosTransport injects seeded delay, reordering, duplication, drops and

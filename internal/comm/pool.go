@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pooled payload buffers for the hot comm path.  Every balance payload used
 // to be a fresh allocation that died the moment the receiver decoded it;
@@ -22,23 +19,8 @@ import (
 //     copies (see reliable.go), so sender and receiver never share a
 //     backing array with the retransmit machinery.
 //
-// GetBuf may return nil (pool empty or pooling disabled); callers treat the
-// result purely as an append base, so nil is a valid empty buffer.
-
-// pooling gates the pool globally: SetPooling(false) turns GetBuf/PutBuf
-// into no-ops, which is the A/B lever cmd/bench -pool=false uses to measure
-// the allocation pressure the pool removes.
-var pooling atomic.Bool
-
-func init() { pooling.Store(true) }
-
-// SetPooling enables or disables the payload buffer pool and reports the
-// previous setting.  Disabling is safe at any time: buffers already handed
-// out simply stop being recycled.
-func SetPooling(on bool) bool { return pooling.Swap(on) }
-
-// PoolingEnabled reports whether the payload buffer pool is active.
-func PoolingEnabled() bool { return pooling.Load() }
+// GetBuf may return nil (pool empty); callers treat the result purely as
+// an append base, so nil is a valid empty buffer.
 
 // maxPooledCap bounds the capacity of recycled buffers so one huge payload
 // (a full-forest partition transfer, say) does not pin its backing array in
@@ -51,9 +33,6 @@ var bufPool sync.Pool // of *[]byte; Get returns nil when empty
 // previously returned one when available.  May return nil; treat the result
 // as an append base.
 func GetBuf() []byte {
-	if !pooling.Load() {
-		return nil
-	}
 	if bp, _ := bufPool.Get().(*[]byte); bp != nil {
 		return (*bp)[:0]
 	}
@@ -63,7 +42,7 @@ func GetBuf() []byte {
 // PutBuf recycles a payload buffer.  nil and tiny or oversized buffers are
 // dropped; the caller must not touch b afterwards.
 func PutBuf(b []byte) {
-	if !pooling.Load() || cap(b) < 64 || cap(b) > maxPooledCap {
+	if cap(b) < 64 || cap(b) > maxPooledCap {
 		return
 	}
 	b = b[:0]

@@ -35,33 +35,6 @@ func (a Algo) String() string {
 	return "new"
 }
 
-// StageOverride optionally pins one stage of the one-pass algorithm to a
-// specific variant, independent of BalanceOptions.Algo.  It exists for the
-// ablation studies in DESIGN.md §5: the paper attributes roughly half of
-// its speedup to the new Local balance and the rest to the new response
-// encoding and Local rebalance; overriding one stage at a time isolates
-// each contribution.
-type StageOverride int
-
-const (
-	// StageDefault inherits BalanceOptions.Algo.
-	StageDefault StageOverride = iota
-	// StageOld pins the stage to the old variant.
-	StageOld
-	// StageNew pins the stage to the new variant.
-	StageNew
-)
-
-func (s StageOverride) resolve(def Algo) Algo {
-	switch s {
-	case StageOld:
-		return AlgoOld
-	case StageNew:
-		return AlgoNew
-	}
-	return def
-}
-
 // NotifyScheme selects the pattern-reversal algorithm of Section V.
 type NotifyScheme int
 
@@ -91,12 +64,6 @@ type BalanceOptions struct {
 	Notify NotifyScheme
 	// MaxRanges bounds the range count for NotifyRanges (default 8).
 	MaxRanges int
-	// LocalStage overrides the Local balance algorithm (ablation).
-	LocalStage StageOverride
-	// RemoteStage overrides the response encoding and Local rebalance
-	// algorithm together — they must agree, since seeds and raw octants
-	// are interpreted differently by the receiver (ablation).
-	RemoteStage StageOverride
 	// Workers bounds the rank-local worker pool that the local pipeline
 	// stages (per-tree subtree balance, query responses, the rebalance
 	// subtree reconstruction and merge) fan out over.  0 and 1 run
@@ -228,12 +195,11 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 		panic("forest: invalid balance condition")
 	}
 	var times PhaseTimes
-	remoteAlgo := opt.RemoteStage.resolve(opt.Algo)
 	workers := opt.workerCount()
 	par := balancePool(c, workers)
 
 	ps := beginPhase(c, "local-balance")
-	f.localBalance(k, opt.LocalStage.resolve(opt.Algo), par)
+	f.localBalance(k, opt.Algo, par)
 	times.LocalBalance = ps.end()
 
 	ps = beginPhase(c, "query")
@@ -247,11 +213,11 @@ func (f *Forest) Balance(c *comm.Comm, k int, opt BalanceOptions) PhaseTimes {
 	// The query construction is reported as part of Query and Response,
 	// the paper's grouping of Figures 15 and 17.
 	ps = beginPhase(c, "query-response")
-	infl := f.exchange(c, recs, sendTo, senders, k, remoteAlgo, opt.Codec, workers, par)
+	infl := f.exchange(c, recs, sendTo, senders, k, opt.Algo, opt.Codec, workers, par)
 	times.QueryResponse = ps.end() + queryBuildTime
 
 	ps = beginPhase(c, "rebalance")
-	f.rebalance(infl, k, remoteAlgo, par)
+	f.rebalance(infl, k, opt.Algo, par)
 	times.Rebalance = ps.end()
 
 	c.SetPhase("default")
@@ -280,21 +246,15 @@ func balancePool(c *comm.Comm, workers int) func(n int, task func(i int)) {
 }
 
 // localBalance is phase 1, Local balance: each local tree chunk is
-// balanced as a subtree, clipped back to the owned curve range.  Chunks
-// are independent (each is balanced within its own enclosing subtree), so
-// they go to the pool as-is; a chunk is never subdivided further because
-// balance interactions couple everything inside it.  The new algorithm
-// runs on the resident keys; the old one (the paper's Fig. 6 baseline)
-// balances materialized octants.
+// balanced as a subtree on its resident keys, clipped back to the owned
+// curve range.  Chunks are independent (each is balanced within its own
+// enclosing subtree), so they go to the pool as-is; a chunk is never
+// subdivided further because balance interactions couple everything
+// inside it.
 func (f *Forest) localBalance(k int, algo Algo, par func(int, func(int))) {
 	par(len(f.Local), func(i int) {
 		tc := &f.Local[i]
-		if algo == AlgoNew {
-			tc.Leaves = localBalanceChunkKeys(tc.Leaves, k)
-			return
-		}
-		octs := localBalanceChunk(tc.Octants(), k, AlgoOld)
-		tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
+		tc.Leaves = localBalanceChunkKeys(tc.Leaves, k, algo)
 	})
 }
 
@@ -413,15 +373,14 @@ func (f *Forest) rebalance(infl []influence, k int, algo Algo, par func(int, fun
 		}
 		chunkRange[ci][1] = i + 1
 	}
-	root := octant.Root(f.Conn.dim)
+	root := octant.KeyOf(octant.Root(f.Conn.dim))
 	par(len(f.Local), func(i int) {
 		lo, hi := chunkRange[i][0], chunkRange[i][1]
 		if lo == hi {
 			return
 		}
 		tc := &f.Local[i]
-		octs := rebalanceOld(root, tc.Octants(), infl[lo:hi], k)
-		tc.Leaves = octant.AppendKeys(tc.Leaves[:0], octs)
+		tc.Leaves = rebalanceOld(root, tc.Leaves, infl[lo:hi], k)
 	})
 }
 
@@ -521,40 +480,6 @@ func (f *Forest) influenceOf(q queryRec, octs []octant.Octant) influence {
 		octs[i] = inv.Apply(octs[i])
 	}
 	return influence{chunk: q.chunk, leaf: q.leaf, octs: octs}
-}
-
-// localBalanceChunk balances one rank's contiguous leaf range of a tree on
-// octant structs: the subtree spanned by the range is balanced and the
-// result clipped back to the range (Section III).  Balance runs it for the
-// old algorithm only; its new-algorithm case is the struct reference the
-// resident-key path (localBalanceChunkKeys) is tested against.
-func localBalanceChunk(leaves []octant.Octant, k int, algo Algo) []octant.Octant {
-	if len(leaves) <= 1 {
-		return leaves
-	}
-	sub := octant.NearestCommonAncestor(leaves[0], leaves[len(leaves)-1])
-	var bal []octant.Octant
-	if algo == AlgoNew {
-		bal = balance.SubtreeNew(sub, leaves, k)
-	} else {
-		bal = balance.SubtreeOld(sub, leaves, k)
-	}
-	return clipToRange(bal, leaves[0], leaves[len(leaves)-1])
-}
-
-// clipToRange keeps the octants lying within the curve range spanned by the
-// original first and last leaves.
-func clipToRange(octs []octant.Octant, first, last octant.Octant) []octant.Octant {
-	fd := first.FirstDescendant(octant.MaxLevel)
-	ld := last.LastDescendant(octant.MaxLevel)
-	out := octs[:0]
-	for _, o := range octs {
-		if octant.Compare(o.FirstDescendant(octant.MaxLevel), fd) >= 0 &&
-			octant.Compare(o.LastDescendant(octant.MaxLevel), ld) <= 0 {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // respond processes one incoming query message and produces the response
@@ -938,21 +863,20 @@ func spliceReplaceKeys(leaves []octant.Key, jobs []rebalanceJob) []octant.Key {
 // is rebalanced at tree scope together with all received raw octants, using
 // auxiliary octants for out-of-root and distant influences, and the result
 // is clipped back to the owned range.
-func rebalanceOld(root octant.Octant, leaves []octant.Octant, infl []influence, k int) []octant.Octant {
-	var inRoot, outside []octant.Octant
-	for _, in := range infl {
-		for _, o := range in.octs {
-			if root.IsAncestorOrEqual(o) {
-				inRoot = append(inRoot, o)
+func rebalanceOld(root octant.Key, leaves []octant.Key, infl []influence, k int) []octant.Key {
+	in := slices.Clone(leaves)
+	var outside []octant.Key
+	for _, inf := range infl {
+		for _, o := range inf.octs {
+			if key := octant.KeyOf(o); root.IsAncestorOrEqual(key) {
+				in = append(in, key)
 			} else {
-				outside = append(outside, o)
+				outside = append(outside, key)
 			}
 		}
 	}
-	first, last := leaves[0], leaves[len(leaves)-1]
-	in := append(append(make([]octant.Octant, 0, len(leaves)+len(inRoot)), leaves...), inRoot...)
-	linear.Sort(in)
+	linear.SortKeys(in)
 	in = slices.Compact(in)
-	bal := balance.SubtreeOldExtended(root, in, outside, k)
-	return clipToRange(bal, first, last)
+	bal, _ := balance.SubtreeOldKeys(root, in, outside, k)
+	return clipToRangeKeys(bal, leaves[0], leaves[len(leaves)-1])
 }

@@ -548,30 +548,6 @@ func TestBalanceKConditionsNest(t *testing.T) {
 	}
 }
 
-func TestBalanceStageAblations(t *testing.T) {
-	// Every combination of old/new local and remote stages must produce
-	// the identical balanced forest; only the costs differ.
-	conn := NewBrick(2, 2, 2, 1, [3]bool{})
-	var ref [][]octant.Octant
-	for _, local := range []StageOverride{StageOld, StageNew} {
-		for _, remote := range []StageOverride{StageOld, StageNew} {
-			forests := runForest(t, conn, 4, 1, func(c *comm.Comm, f *Forest) {
-				f.Refine(c, 5, fractalRefine(5))
-				f.Partition(c, nil)
-				f.Balance(c, 2, BalanceOptions{LocalStage: local, RemoteStage: remote})
-			})
-			got := gather(conn, forests)
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !forestsEqual(got, ref) {
-				t.Fatalf("local=%d remote=%d: ablation changed the result", local, remote)
-			}
-		}
-	}
-}
-
 func TestAlgoZeroValueIsNew(t *testing.T) {
 	var opt BalanceOptions
 	if opt.Algo != AlgoNew {

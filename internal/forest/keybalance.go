@@ -6,19 +6,24 @@ import (
 )
 
 // This file is the Local balance on the resident packed keys: the whole
-// subtree balance — Reduce, neighborhood closure, sort, completion, range
+// subtree balance — the old or new algorithm, sort, completion, range
 // clipping — runs on the chunk representation itself with no conversion
 // at either end.
 
 // localBalanceChunkKeys balances one rank's contiguous leaf range of a
-// tree with the paper's new algorithm: the subtree spanned by the range is
+// tree with the selected algorithm: the subtree spanned by the range is
 // balanced and the result clipped back to the range (Section III).
-func localBalanceChunkKeys(leaves []octant.Key, k int) []octant.Key {
+func localBalanceChunkKeys(leaves []octant.Key, k int, algo Algo) []octant.Key {
 	if len(leaves) <= 1 {
 		return leaves
 	}
 	sub := octant.NearestCommonAncestorKeys(leaves[0], leaves[len(leaves)-1])
-	bal := balance.SubtreeNewKeys(sub, leaves, k)
+	var bal []octant.Key
+	if algo == AlgoNew {
+		bal = balance.SubtreeNewKeys(sub, leaves, k)
+	} else {
+		bal, _ = balance.SubtreeOldKeys(sub, leaves, nil, k)
+	}
 	return clipToRangeKeys(bal, leaves[0], leaves[len(leaves)-1])
 }
 
@@ -44,6 +49,6 @@ func clipToRangeKeys(keys []octant.Key, first, last octant.Key) []octant.Key {
 // runs the same code path over its local tree chunks.
 func BalanceChunksKeys(chunks [][]octant.Key, k, workers int) {
 	parallelFor(workers, len(chunks), func(i int) {
-		chunks[i] = localBalanceChunkKeys(chunks[i], k)
+		chunks[i] = localBalanceChunkKeys(chunks[i], k, AlgoNew)
 	})
 }

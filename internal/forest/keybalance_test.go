@@ -3,6 +3,7 @@ package forest
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/octant"
@@ -37,27 +38,27 @@ func randomChunks(rng *rand.Rand, dim, depth, chunks int) [][]octant.Octant {
 	return out
 }
 
-// TestBalanceChunksKeysMatchesStruct pins the resident-key Local balance,
-// fanned over the worker pool, to the struct reference localBalanceChunk
-// chunk for chunk.
-func TestBalanceChunksKeysMatchesStruct(t *testing.T) {
+// TestBalanceChunksKeysOldMatchesNew pins the two Local balance
+// algorithms on the resident keys to each other chunk for chunk: the old
+// one (localBalanceChunkKeys with AlgoOld) against the new one as
+// BalanceChunksKeys runs it, serially and on the worker pool.
+func TestBalanceChunksKeysOldMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{2, 3} {
-		for trial := 0; trial < 5; trial++ {
-			a := randomChunks(rng, dim, 5, 7)
-			b := make([][]octant.Key, len(a))
-			for i := range a {
-				b[i] = octant.AppendKeys(nil, a[i])
-				a[i] = localBalanceChunk(a[i], dim, AlgoNew)
-			}
-			BalanceChunksKeys(b, dim, 4)
-			for i := range a {
-				if len(a[i]) != len(b[i]) {
-					t.Fatalf("dim %d chunk %d: %d vs %d leaves", dim, i, len(a[i]), len(b[i]))
+		for _, workers := range []int{1, 4} {
+			for trial := 0; trial < 5; trial++ {
+				chunks := randomChunks(rng, dim, 5, 7)
+				want := make([][]octant.Key, len(chunks))
+				got := make([][]octant.Key, len(chunks))
+				for i := range chunks {
+					want[i] = localBalanceChunkKeys(octant.AppendKeys(nil, chunks[i]), dim, AlgoOld)
+					got[i] = octant.AppendKeys(nil, chunks[i])
 				}
-				for j := range a[i] {
-					if a[i][j] != b[i][j].Octant() {
-						t.Fatalf("dim %d chunk %d leaf %d: %v != %v", dim, i, j, a[i][j], b[i][j].Octant())
+				BalanceChunksKeys(got, dim, workers)
+				for i := range chunks {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("dim %d workers %d chunk %d: new %d leaves != old %d leaves",
+							dim, workers, i, len(got[i]), len(want[i]))
 					}
 				}
 			}

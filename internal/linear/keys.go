@@ -21,17 +21,6 @@ func SortKeys(keys []octant.Key) {
 	RadixSortKeys(keys)
 }
 
-// IsSortedKeys reports whether keys is in strictly increasing Morton
-// order (no duplicates).
-func IsSortedKeys(keys []octant.Key) bool {
-	for i := 0; i+1 < len(keys); i++ {
-		if octant.KeyCompare(keys[i], keys[i+1]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // IsLinearKeys reports whether keys is a linear octree: sorted,
 // duplicate-free, and free of overlaps.
 func IsLinearKeys(keys []octant.Key) bool {
@@ -184,29 +173,4 @@ func PrecludingMemberKeys(r []octant.Key, s octant.Key) (int, bool) {
 		return i - 1, true
 	}
 	return -1, false
-}
-
-// UnionKeys merges two sorted key slices into a single sorted slice,
-// dropping exact duplicates.
-func UnionKeys(a, b []octant.Key) []octant.Key {
-	out := make([]octant.Key, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := octant.KeyCompare(a[i], b[j])
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

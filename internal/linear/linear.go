@@ -20,17 +20,6 @@ func Sort(octs []octant.Octant) {
 	slices.SortFunc(octs, octant.Compare)
 }
 
-// IsSorted reports whether octs is in strictly increasing Morton order
-// (no duplicates).
-func IsSorted(octs []octant.Octant) bool {
-	for i := 0; i+1 < len(octs); i++ {
-		if octant.Compare(octs[i], octs[i+1]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // IsLinear reports whether octs is a linear octree: sorted, duplicate-free,
 // and free of overlaps (no octant is an ancestor of another).  Because an
 // ancestor sorts immediately before its first present descendant, checking
@@ -171,40 +160,6 @@ func appendCompletion(out []octant.Octant, w octant.Octant, sub []octant.Octant)
 	return out
 }
 
-// CompleteRegion returns the coarsest complete sequence of octants that
-// covers exactly the space-filling-curve gap strictly between octants a and
-// b (exclusive of both), all within root.  a must precede b and neither may
-// overlap the other.  This is the classical "complete region" primitive of
-// linear octree codes.
-func CompleteRegion(root, a, b octant.Octant) []octant.Octant {
-	if octant.Compare(a, b) >= 0 || a.Overlaps(b) {
-		panic("linear: CompleteRegion requires disjoint a < b")
-	}
-	var out []octant.Octant
-	var walk func(w octant.Octant)
-	walk = func(w octant.Octant) {
-		if a.IsAncestorOrEqual(w) {
-			return // w is inside a
-		}
-		if octant.Compare(w, a) < 0 && !w.IsAncestor(a) {
-			return // w lies entirely before a on the curve
-		}
-		if octant.Compare(w, b) >= 0 {
-			return // w is b, after b, or inside b
-		}
-		if w.IsAncestor(a) || w.IsAncestor(b) {
-			for c := 0; c < octant.NumChildren(int(w.Dim)); c++ {
-				walk(w.Child(c))
-			}
-			return
-		}
-		// w lies strictly between a and b and overlaps neither.
-		out = append(out, w)
-	}
-	walk(root)
-	return out
-}
-
 // Reduce removes preclusion-redundant octants from a sorted linear array
 // (Figure 8): it returns the smallest subset R of 0-sibling representatives
 // from which Complete reconstructs the original linear octree.  If octs is
@@ -269,20 +224,6 @@ func Union(a, b []octant.Octant) []octant.Octant {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// Count returns the total volume of the octants in octs measured in units
-// of level-l cells.  It is useful for checking completeness: a complete
-// octree of root has Count equal to root's volume.
-func Count(octs []octant.Octant, l int8) uint64 {
-	var v uint64
-	for _, o := range octs {
-		if o.Level > l {
-			panic("linear: Count level finer than octant")
-		}
-		v += uint64(1) << (uint(o.Dim) * uint(l-o.Level))
-	}
-	return v
 }
 
 // Overlay merges two linear octree fragments into the pointwise finest

@@ -2,6 +2,7 @@ package linear
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/octant"
@@ -22,8 +23,8 @@ func TestSortAndIsSorted(t *testing.T) {
 			}
 		}
 		// Linearize compacts in place; check its output last.
-		if !IsSorted(Linearize(octs)) {
-			t.Fatal("linearized sorted array not sorted")
+		if !IsLinear(Linearize(octs)) {
+			t.Fatal("linearized sorted array not linear")
 		}
 	}
 }
@@ -167,7 +168,7 @@ func TestReduceCompleteRoundTrip(t *testing.T) {
 		for trial := 0; trial < 80; trial++ {
 			complete := otest.RandomComplete(rng, root, 6, 0.6)
 			r := Reduce(complete)
-			if !IsSorted(r) {
+			if !slices.IsSortedFunc(r, octant.Compare) {
 				t.Fatal("Reduce output not sorted")
 			}
 			got := Complete(root, r)
@@ -233,43 +234,6 @@ func TestPrecludingMemberMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCompleteRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, dim := range []int{2, 3} {
-		root := octant.Root(dim)
-		for trial := 0; trial < 60; trial++ {
-			a := otest.RandomOctant(rng, dim, 2, 6)
-			b := otest.RandomOctant(rng, dim, 2, 6)
-			if octant.Compare(a, b) > 0 {
-				a, b = b, a
-			}
-			if a.Overlaps(b) {
-				continue
-			}
-			gap := CompleteRegion(root, a, b)
-			if !IsLinear(gap) {
-				t.Fatal("CompleteRegion output not linear")
-			}
-			// a ++ gap ++ b must be a contiguous run on the curve.
-			run := append([]octant.Octant{a}, gap...)
-			run = append(run, b)
-			for i := 0; i+1 < len(run); i++ {
-				last := run[i].LastDescendant(octant.MaxLevel)
-				next := run[i+1].FirstDescendant(octant.MaxLevel)
-				if last.Successor() != next {
-					t.Fatalf("dim %d: gap between %v and %v (elements %d/%d)", dim, run[i], run[i+1], i, len(run))
-				}
-			}
-			// None of the gap octants may overlap a or b.
-			for _, g := range gap {
-				if g.Overlaps(a) || g.Overlaps(b) {
-					t.Fatalf("gap octant %v overlaps endpoint", g)
-				}
-			}
-		}
-	}
-}
-
 func TestOverlapRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{2, 3} {
@@ -299,7 +263,7 @@ func TestUnion(t *testing.T) {
 	a := otest.RandomSubset(rng, complete, 0.5)
 	b := otest.RandomSubset(rng, complete, 0.5)
 	u := Union(a, b)
-	if !IsSorted(u) {
+	if !slices.IsSortedFunc(u, octant.Compare) {
 		t.Fatal("Union output not sorted")
 	}
 	seen := map[octant.Octant]bool{}
@@ -313,18 +277,6 @@ func TestUnion(t *testing.T) {
 	}
 	if len(seen) != len(u) {
 		t.Fatal("Union produced duplicates")
-	}
-}
-
-func TestCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dim := range []int{2, 3} {
-		root := octant.Root(dim)
-		complete := otest.RandomComplete(rng, root, 5, 0.6)
-		want := uint64(1) << (uint(dim) * 6)
-		if got := Count(complete, 6); got != want {
-			t.Fatalf("dim %d: Count = %d, want %d", dim, got, want)
-		}
 	}
 }
 

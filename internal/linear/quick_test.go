@@ -2,6 +2,7 @@ package linear
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,7 +77,7 @@ func TestQuickUnionPreservesSortedness(t *testing.T) {
 		a := otest.RandomSubset(rng, c, 0.4)
 		b := otest.RandomSubset(rng, c, 0.4)
 		u := Union(a, b)
-		if !IsSorted(u) {
+		if !slices.IsSortedFunc(u, octant.Compare) {
 			return false
 		}
 		// Union is commutative.

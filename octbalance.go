@@ -171,13 +171,8 @@ const (
 	WireV1 = forest.WireV1
 )
 
-var (
-	// ParseWireCodec parses a -codec flag value ("v0"/"v1").
-	ParseWireCodec = comm.ParseWireCodec
-	// SetCommPooling toggles the comm layer's payload buffer pool and
-	// returns the previous setting (A/B lever for allocation measurements).
-	SetCommPooling = comm.SetPooling
-)
+// ParseWireCodec parses a -codec flag value ("v0"/"v1").
+var ParseWireCodec = comm.ParseWireCodec
 
 // Forest of octrees.
 type (
@@ -274,16 +269,6 @@ type (
 // SolveFEM assembles and solves a Poisson problem with bilinear elements
 // and hanging-node constraints on a balanced 2D forest.
 var SolveFEM = fem.Solve
-
-// StageOverride pins one stage of the one-pass balance for ablations.
-type StageOverride = forest.StageOverride
-
-// Stage override values (see DESIGN.md §5, ablation benches).
-const (
-	StageDefault = forest.StageDefault
-	StageOld     = forest.StageOld
-	StageNew     = forest.StageNew
-)
 
 // Distributed node numbering and forest serialization.
 type (
